@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StreamError
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,12 @@ IQ16 = FixedPointFormat(total_bits=16, fractional_bits=15)
 #: The cross-correlator coefficient format from the WARP reference core.
 COEFF3 = FixedPointFormat(total_bits=3, fractional_bits=0)
 
+#: IQ16's scale, its inverse and its integer range as floats.
+_IQ16_SCALE = float(IQ16.scale)
+_IQ16_INV_SCALE = 1.0 / IQ16.scale
+_IQ16_MIN = float(IQ16.min_int)
+_IQ16_MAX = float(IQ16.max_int)
+
 
 def quantize(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
     """Round-trip ``values`` through ``fmt`` (quantize, then re-scale).
@@ -100,8 +106,38 @@ def quantize(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
 
 
 def quantize_iq16(values: np.ndarray) -> np.ndarray:
-    """Quantize complex baseband to the N210's 16-bit I/Q format."""
-    return quantize(values, IQ16)
+    """Quantize complex baseband to the N210's 16-bit I/Q format.
+
+    Byte-identical to ``quantize(values, IQ16)`` for every finite
+    input, but computed in place in the one complex128 output: scale,
+    round, saturate and re-scale run on its interleaved float64 view.
+    The scale is a power of two, so both multiplies are exact, and
+    adding +0.0 turns a rounded -0.0 into +0.0 as the integer round
+    trip of :func:`quantize` does.  +-inf saturate to full scale.
+
+    Raises:
+        StreamError: if any component is NaN; such a sample has no
+            16-bit code, and passed on it would poison the energy
+            detector's carried sums for every later chunk.
+    """
+    values = np.asarray(values)
+    out = np.empty(values.shape, dtype=np.complex128)
+    flat = out.reshape(-1).view(np.float64)
+    if values.dtype == np.complex128 and values.flags.c_contiguous:
+        np.multiply(values.reshape(-1).view(np.float64), _IQ16_SCALE,
+                    out=flat)
+    else:
+        out[...] = values
+        flat *= _IQ16_SCALE
+    np.rint(flat, out=flat)
+    np.clip(flat, _IQ16_MIN, _IQ16_MAX, out=flat)
+    flat += 0.0
+    # NaN is the only value rint and the clip pass through unbounded,
+    # so one sum over the saturated buffer detects it.
+    if np.isnan(np.add.reduce(flat)):
+        raise StreamError("NaN sample reached the IQ16 quantizer")
+    flat *= _IQ16_INV_SCALE
+    return out
 
 
 def sign_bits(values: np.ndarray) -> np.ndarray:

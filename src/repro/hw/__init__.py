@@ -12,7 +12,7 @@ core block-for-block:
 * :mod:`repro.hw.cross_correlator` — the 64-sample sign-bit weighted
   phase correlator (paper Fig. 3).
 * :mod:`repro.hw.banked_correlator` — up to four stacked protocol
-  banks evaluated in one dual-GEMM pass (multi-standard detection).
+  banks evaluated in one GEMM pass (multi-standard detection).
 * :mod:`repro.hw.energy_differentiator` — the 32-sample moving-sum
   energy rise/fall detector (paper Fig. 4).
 * :mod:`repro.hw.trigger` — the three-stage trigger event state

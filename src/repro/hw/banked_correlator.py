@@ -4,9 +4,9 @@ The same Drexel lab's FPGA multi-standard packet detector runs several
 run-time-swappable preamble correlators concurrently; this facade is
 that block grafted onto the paper's sign-bit correlator.  Up to
 :data:`repro.hw.register_map.MAX_BANKS` 64-tap coefficient banks are
-stacked into one block-Toeplitz operand
+stacked into one band operand
 (:func:`repro.kernels.prepare_stacked`) and evaluated over a *single*
-shared interleaved sign plane by one dual-GEMM pass per chunk —
+shared interleaved sign plane by one GEMM pass per chunk —
 ``K`` protocol detections for roughly the cost of the widened GEMM,
 with the sign slicing, history stitch, and padded-plane copy amortized
 across banks.

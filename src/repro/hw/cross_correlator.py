@@ -24,7 +24,9 @@ per-sample math runs in :mod:`repro.kernels` (one fused kernel call
 per chunk instead of the four ``np.correlate`` passes the seed model
 used).  The kernel backend is picked at construction
 (:func:`repro.kernels.get_backend`, honoring ``REPRO_KERNEL_BACKEND``)
-and every backend is byte-identical to the numpy reference.
+and every backend is byte-identical to the numpy reference.  A
+correlator whose threshold no metric can exceed (:attr:`silent`, the
+power-on state) skips the kernel and only carries its sign history.
 """
 
 from __future__ import annotations
@@ -50,6 +52,16 @@ PIPELINE_LATENCY_CLOCKS = 1
 #: Upper bound of the metric: |Re| and |Im| are each at most
 #: 64 * (|cI| + |cQ|) <= 64 * (4 + 4), so the metric fits in 32 bits.
 METRIC_MAX = 2 * (CORRELATOR_LENGTH * 8) ** 2
+
+
+def metric_ceiling(coeffs_i: np.ndarray, coeffs_q: np.ndarray) -> int:
+    """Upper bound of a bank's metric: ``2 * (sum|cI| + sum|cQ|)**2``.
+
+    Each sign-bit product contributes at most ``|cI| + |cQ|`` to
+    ``|Re|`` and to ``|Im|``, so neither exceeds the sum over taps.
+    """
+    bound = int(np.abs(coeffs_i).sum() + np.abs(coeffs_q).sum())
+    return 2 * bound * bound
 
 
 @cached_artifact
@@ -98,6 +110,7 @@ class CrossCorrelator:
         self._coeffs_q = np.zeros(CORRELATOR_LENGTH, dtype=np.int64)
         self._prepared = prepare_coefficients(self._coeffs_i,
                                               self._coeffs_q)
+        self._ceiling = 0
         if coeffs_i is not None or coeffs_q is not None:
             self.load_coefficients(coeffs_i, coeffs_q)
         self.threshold = threshold
@@ -138,6 +151,18 @@ class CrossCorrelator:
         """The kernel-ready coefficient bank (frozen, shareable)."""
         return self._prepared
 
+    @property
+    def silent(self) -> bool:
+        """Whether no stream can fire: threshold >= the bank's ceiling.
+
+        The trigger needs ``metric > threshold`` and no metric exceeds
+        :func:`metric_ceiling`, so a silent correlator's triggers are
+        all False whatever it receives.  :meth:`detect` skips the GEMM
+        for it; the hardware runs the datapath regardless, with the
+        same (empty) output.
+        """
+        return self._threshold >= self._ceiling
+
     def load_coefficients(self, coeffs_i: np.ndarray | None,
                           coeffs_q: np.ndarray | None) -> None:
         """Load 3-bit signed coefficient banks (run-time programmable)."""
@@ -158,6 +183,7 @@ class CrossCorrelator:
         self._coeffs_i = coeffs_i.copy()
         self._coeffs_q = coeffs_q.copy()
         self._prepared = prepare_coefficients(coeffs_i, coeffs_q)
+        self._ceiling = metric_ceiling(coeffs_i, coeffs_q)
 
     def attach_metrics(self, registry) -> None:
         """Fold per-chunk throughput counters into a metrics registry.
@@ -222,6 +248,8 @@ class CrossCorrelator:
         so edges are not double-counted across chunk boundaries.  One
         kernel call yields metric, threshold compare, and edges — the
         path :class:`repro.hw.dsp_core.CustomDspCore` runs per chunk.
+        A :attr:`silent` correlator skips the kernel: it carries its
+        sign history and returns an all-False trigger and no edges.
         """
         samples = np.asarray(samples)
         if samples.ndim != 1:
@@ -229,6 +257,9 @@ class CrossCorrelator:
         if samples.size == 0:
             return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
         plane = self._assemble_plane(samples)
+        if self.silent:
+            return (np.zeros(samples.size, dtype=bool),
+                    np.zeros(0, dtype=np.int64))
         result = xcorr_detect(plane, self._prepared, self._threshold,
                               last=last, backend=self._backend,
                               scratch=self._gemm_scratch)

@@ -64,15 +64,34 @@ class DigitalDownConverter:
             self._filter.reset()
         self._sample_clock = 0
 
+    def skip(self, n: int) -> None:
+        """Advance the CFO phase clock over ``n`` lost samples.
+
+        After a dropped chunk the impairments resume at the phase an
+        uninterrupted stream would have reached.
+        """
+        if n < 0:
+            raise StreamError("cannot skip a negative number of samples")
+        self._sample_clock += n
+
     def process(self, samples: np.ndarray) -> np.ndarray:
-        """Apply impairments, gain, filtering, 16-bit quantization."""
+        """Apply impairments, gain, filtering, 16-bit quantization.
+
+        At unity gain the multiply is skipped: on finite samples it
+        changes at most the sign of a zero component, which the
+        quantizer folds to +0.0 anyway.  The CFO clock advances only
+        once the chunk is quantized, so a chunk the quantizer rejects
+        (a NaN sample) leaves it for :meth:`skip`.
+        """
         samples = np.asarray(samples, dtype=np.complex128)
         if samples.ndim != 1:
             raise StreamError("DDC expects a 1-D complex chunk")
         if self.impairments is not None:
             samples = self.impairments.apply(samples, self._sample_clock)
-        self._sample_clock += samples.size
-        scaled = samples * self._rx_gain
+        if self._rx_gain != 1.0:
+            samples = samples * self._rx_gain
         if self._filter is not None:
-            scaled = self._filter.process(scaled)
-        return quantize_iq16(scaled)
+            samples = self._filter.process(samples)
+        baseband = quantize_iq16(samples)
+        self._sample_clock += baseband.size
+        return baseband

@@ -42,6 +42,12 @@ from repro.hw.trigger import (
 )
 from repro.hw.tx_controller import JamInterval, JamWaveform, TransmitController
 
+# Trigger sources bound once: the per-chunk detection merge tags every
+# edge with one of them.
+_XCORR = TriggerSource.XCORR
+_ENERGY_HIGH = TriggerSource.ENERGY_HIGH
+_ENERGY_LOW = TriggerSource.ENERGY_LOW
+
 
 @dataclass(frozen=True)
 class DetectionEvent:
@@ -224,7 +230,12 @@ class CustomDspCore:
         self._bank_count = count
 
     def _set_bank_select(self, value: int) -> None:
-        self._bank_select = int(value)
+        index = int(value)
+        if not 0 <= index < regmap.MAX_BANKS:
+            raise ConfigurationError(
+                f"bank select {index} outside 0..{regmap.MAX_BANKS - 1}"
+            )
+        self._bank_select = index
 
     def _bank_coeff_watch(self, words, offset):
         """Latch a windowed coefficient word into the selected bank.
@@ -529,36 +540,26 @@ class CustomDspCore:
         coincident multi-protocol hits come out in bank order.
         """
         xcorr_total = sum(edges.size for edges, _ in xcorr_banks)
-        self.detection_counts[TriggerSource.XCORR] += xcorr_total
-        self.detection_counts[TriggerSource.ENERGY_HIGH] += ehigh_edges.size
-        self.detection_counts[TriggerSource.ENERGY_LOW] += elow_edges.size
-        total = xcorr_total + ehigh_edges.size + elow_edges.size
-        if not total:
+        counts = self.detection_counts
+        counts[_XCORR] += xcorr_total
+        counts[_ENERGY_HIGH] += ehigh_edges.size
+        counts[_ENERGY_LOW] += elow_edges.size
+        if not (xcorr_total or ehigh_edges.size or elow_edges.size):
             # The common chunk: no edges, no objects built at all.
             return []
-        times = np.concatenate([edges for edges, _ in xcorr_banks]
-                               + [ehigh_edges, elow_edges])
-        times += chunk_start
-        sources = np.empty(total, dtype=np.int64)
-        banks = np.full(total, -1, dtype=np.int64)
-        sources[:xcorr_total] = TriggerSource.XCORR
-        cursor = 0
-        for bank, (edges, _) in enumerate(xcorr_banks):
-            banks[cursor:cursor + edges.size] = bank
-            cursor += edges.size
-        split_b = xcorr_total + ehigh_edges.size
-        sources[xcorr_total:split_b] = TriggerSource.ENERGY_HIGH
-        sources[split_b:] = TriggerSource.ENERGY_LOW
-        order = np.lexsort((banks, sources, times))
-        labels = [protocol for _, protocol in xcorr_banks]
-        events = []
-        for k in order:
-            bank = int(banks[k])
-            events.append(DetectionEvent(
-                time=int(times[k]),
-                source=TriggerSource(int(sources[k])),
-                protocol=labels[bank] if bank >= 0 else None,
-            ))
+        # A chunk has a handful of edges: sorting (time, source, bank)
+        # tuples gives np.lexsort's order without building arrays.
+        # Energy edges take bank -1, which names no protocol.
+        keyed = [(t, _XCORR, bank)
+                 for bank, (edges, _) in enumerate(xcorr_banks)
+                 for t in edges.tolist()]
+        keyed += [(t, _ENERGY_HIGH, -1) for t in ehigh_edges.tolist()]
+        keyed += [(t, _ENERGY_LOW, -1) for t in elow_edges.tolist()]
+        keyed.sort()
+        labels = [protocol for _, protocol in xcorr_banks] + [None]
+        events = [DetectionEvent(time=chunk_start + t, source=source,
+                                 protocol=labels[bank])
+                  for t, source, bank in keyed]
         if self._protocol_registry is not None:
             for event in events:
                 if event.protocol is not None:

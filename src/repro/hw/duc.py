@@ -4,8 +4,9 @@ The DUC takes the custom core's transmit samples (25 MSPS, full scale
 +-1.0), applies the TX gain, and hands them to the RF front end.  Its
 fill latency — about seven clock cycles to populate the interpolation
 pipeline — is part of the paper's 80 ns T_init and is accounted for in
-:mod:`repro.hw.tx_controller`; here we model the amplitude path and
-full-scale clipping.
+:mod:`repro.hw.tx_controller`; here we model the amplitude path.  The
+model does not clip: with TX gain above 0 dB, samples may exceed
+digital full scale.
 """
 
 from __future__ import annotations
@@ -37,9 +38,16 @@ class DigitalUpConverter:
         self._tx_gain = units.db_to_amplitude(self._tx_gain_db)
 
     def process(self, samples: np.ndarray) -> np.ndarray:
-        """Apply TX gain; the DAC clips at digital full scale."""
+        """Apply TX gain (scaling only, no clipping).
+
+        At unity gain the chunk is returned as is.  In complex
+        arithmetic ``x * 1.0`` alters only non-finite and -0.0
+        components, which the core's finite transmit chunks, built on
+        +0.0, do not hold.
+        """
         samples = np.asarray(samples, dtype=np.complex128)
         if samples.ndim != 1:
             raise StreamError("DUC expects a 1-D complex chunk")
-        scaled = samples * self._tx_gain
-        return scaled
+        if self._tx_gain == 1.0:
+            return samples
+        return samples * self._tx_gain

@@ -22,7 +22,8 @@ import numpy as np
 
 from repro import units
 from repro.errors import ConfigurationError, StreamError
-from repro.kernels import get_backend, rising_edge_plane
+from repro.hw.trigger import rising_edges
+from repro.kernels import get_backend
 from repro.runtime.buffers import ScratchBuffer
 
 #: Moving-sum window length in samples (paper's implementation).
@@ -133,40 +134,60 @@ class EnergyDifferentiator:
         self._energy_tail[:] = 0.0
         self._sum_tail[:] = 0.0
 
-    def energy_sums(self, samples: np.ndarray) -> np.ndarray:
-        """The moving energy sum per incoming sample (consumes input)."""
-        samples = np.asarray(samples)
+    @staticmethod
+    def _checked(samples: np.ndarray) -> np.ndarray:
+        samples = np.asarray(samples, dtype=np.complex128)
         if samples.ndim != 1:
             raise StreamError("EnergyDifferentiator expects a 1-D chunk")
-        if samples.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        energy = np.abs(np.asarray(samples, dtype=np.complex128)) ** 2
-        padded = self._pad_scratch.view(self._window + energy.size)
+        return samples
+
+    def _moving_sums(self, samples: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Advance the moving sum over a non-empty chunk.
+
+        The energies are written straight into the ``[tail | chunk]``
+        scratch (``np.abs`` then ``np.square``, the ops of
+        ``abs(x) ** 2``) and the sums into ``out`` when given.
+        """
+        n = samples.size
+        padded = self._pad_scratch.view(self._window + n)
         padded[:self._window] = self._energy_tail
-        padded[self._window:] = energy
-        sums = self._backend.moving_sums(padded, self._window,
+        energy = padded[self._window:]
+        np.abs(samples, out=energy)
+        np.square(energy, out=energy)
+        sums = self._backend.moving_sums(padded, self._window, out=out,
                                          csum_scratch=self._csum_scratch)
         # New tail = last `window` entries of [tail | energy]; the
         # scratch is distinct storage, so this holds for any chunk size.
-        self._energy_tail[:] = padded[energy.size:]
+        self._energy_tail[:] = padded[n:]
         if self._metric_chunks is not None:
             self._metric_chunks.inc()
-            self._metric_samples.inc(energy.size)
+            self._metric_samples.inc(n)
         return sums
+
+    def energy_sums(self, samples: np.ndarray) -> np.ndarray:
+        """The moving energy sum per incoming sample (consumes input)."""
+        samples = self._checked(samples)
+        if samples.size == 0:
+            return np.zeros(0, dtype=np.float64)
+        return self._moving_sums(samples)
 
     def process(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Boolean (trigger_high, trigger_low) arrays per incoming sample."""
-        sums = self.energy_sums(samples)
-        if sums.size == 0:
+        samples = self._checked(samples)
+        n = samples.size
+        if n == 0:
             empty = np.zeros(0, dtype=bool)
             return empty, empty
-        delayed_full = self._delay_scratch.view(self._delay + sums.size)
-        delayed_full[:self._delay] = self._sum_tail
-        delayed_full[self._delay:] = sums
-        delayed = delayed_full[:sums.size]
-        self._sum_tail[:] = delayed_full[sums.size:]
+        # The sums land in the delay line right behind its carried
+        # tail, so [sum_tail | sums] is assembled without a copy.
+        delay_line = self._delay_scratch.view(self._delay + n)
+        delay_line[:self._delay] = self._sum_tail
+        sums = self._moving_sums(samples, out=delay_line[self._delay:])
+        delayed = delay_line[:n]
         trigger_high = sums > delayed * self._threshold_high
         trigger_low = sums * self._threshold_low < delayed
+        self._sum_tail[:] = delay_line[n:]
         return trigger_high, trigger_low
 
     def detect(self, samples: np.ndarray, last_high: bool = False,
@@ -180,11 +201,7 @@ class EnergyDifferentiator:
         edges_high, edges_low)``.
         """
         trigger_high, trigger_low = self.process(samples)
-        if trigger_high.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return trigger_high, trigger_low, empty, empty
-        edges_high = np.flatnonzero(
-            rising_edge_plane(trigger_high, last_high))
-        edges_low = np.flatnonzero(
-            rising_edge_plane(trigger_low, last_low))
-        return trigger_high, trigger_low, edges_high, edges_low
+        return (trigger_high, trigger_low,
+                rising_edges(trigger_high, last_high),
+                rising_edges(trigger_low, last_low))
+

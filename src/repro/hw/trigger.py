@@ -58,14 +58,17 @@ def rising_edges(trigger: np.ndarray, previous_last: bool = False) -> np.ndarray
 
     ``previous_last`` carries the final trigger value of the previous
     chunk so edges are not double-counted across chunk boundaries.
+    Past index 0 an edge is one compare of neighbours; index 0 is an
+    edge when it is set and ``previous_last`` is not.
     """
     trigger = np.asarray(trigger, dtype=bool)
     if trigger.size == 0:
         return np.zeros(0, dtype=np.int64)
-    shifted = np.empty_like(trigger)
-    shifted[0] = previous_last
-    shifted[1:] = trigger[:-1]
-    return np.flatnonzero(trigger & ~shifted)
+    edges = np.flatnonzero(trigger[1:] > trigger[:-1])
+    edges += 1
+    if trigger[0] and not previous_last:
+        edges = np.concatenate(([0], edges))
+    return edges
 
 
 @dataclass(frozen=True)

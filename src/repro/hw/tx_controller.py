@@ -201,12 +201,18 @@ class TransmitController:
         return self._rx_history[-self._replay_length:].copy()
 
     def observe_rx(self, rx_chunk: np.ndarray) -> None:
-        """Feed received samples into the replay capture buffer."""
+        """Feed received samples into the replay capture buffer.
+
+        Only the samples that survive are copied: the chunk's last
+        ``MAX_REPLAY_LENGTH`` and as much of the old history as still
+        fits in front of them.
+        """
         rx_chunk = np.asarray(rx_chunk, dtype=np.complex128)
         if rx_chunk.size == 0:
             return
-        combined = np.concatenate([self._rx_history, rx_chunk])
-        self._rx_history = combined[-MAX_REPLAY_LENGTH:]
+        tail = rx_chunk[-MAX_REPLAY_LENGTH:]
+        start = max(self._rx_history.size + tail.size - MAX_REPLAY_LENGTH, 0)
+        self._rx_history = np.concatenate([self._rx_history[start:], tail])
 
     # ------------------------------------------------------------------
     # Waveform synthesis

@@ -105,6 +105,9 @@ class UsrpN210:
             else VitaTimeSource()
         #: Optional antenna-port fault stage (see :mod:`repro.faults`).
         self.stream_faults = stream_faults
+        # Samples of the current chunk the fault stage has already
+        # consumed; nonzero only while a later stage may reject it.
+        self._faults_consumed = 0
         #: Telemetry probe: host profiling scopes around DDC/DUC.
         self.profiler: "HostProfiler | None" = None
 
@@ -129,30 +132,37 @@ class UsrpN210:
         the antenna-port transmit waveform for the same sample span.
         """
         rx_chunk = np.asarray(rx_chunk, dtype=np.complex128)
+        self._faults_consumed = 0
         if self.stream_faults is not None:
             rx_chunk = self.stream_faults.process(rx_chunk)
+            self._faults_consumed = rx_chunk.size
         # The DDC already quantizes its output to IQ16, so the core is
         # told not to re-quantize (no second pass over the chunk).
         if self.profiler is None:
             baseband = self.ddc.process(rx_chunk)
             output = self.core.process(baseband, quantized=True)
             output.tx = self.duc.process(output.tx)
-            return output
-        with self.profiler.profile("ddc"):
-            baseband = self.ddc.process(rx_chunk)
-        output = self.core.process(baseband, quantized=True)
-        with self.profiler.profile("duc"):
-            output.tx = self.duc.process(output.tx)
+        else:
+            with self.profiler.profile("ddc"):
+                baseband = self.ddc.process(rx_chunk)
+            output = self.core.process(baseband, quantized=True)
+            with self.profiler.profile("duc"):
+                output.tx = self.duc.process(output.tx)
+        self._faults_consumed = 0
         return output
 
     def skip(self, n: int) -> None:
         """Advance the device timeline over ``n`` lost antenna samples.
 
-        Keeps the DSP core's sample clock and the fault injector's
-        schedule aligned when the recovery path drops a chunk.
+        Keeps the DSP core's sample clock, the DDC's CFO phase clock
+        and the fault injector's schedule aligned when the recovery
+        path drops a chunk.  A chunk the DDC rejected has already
+        passed the fault stage, which is not advanced over it twice.
         """
         if self.stream_faults is not None:
-            self.stream_faults.skip(n)
+            self.stream_faults.skip(max(n - self._faults_consumed, 0))
+        self._faults_consumed = 0
+        self.ddc.skip(n)
         self.core.skip(n)
 
     def run(self, rx_signal: np.ndarray, chunk_size: int = 1 << 16) -> CoreOutput:

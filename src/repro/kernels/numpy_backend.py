@@ -99,17 +99,17 @@ class NumpyKernelBackend(KernelBackend):
         plane = np.asarray(plane)
         lead = plane.shape[:-1]
         length = plane.shape[-1]
-        pairs = length // 2
-        n = pairs - coeffs.history_pairs
+        n = length // 2 - coeffs.history_pairs
         k = coeffs.n_banks
-        two_s = 2 * coeffs.block
-        n_blocks = -(-pairs // coeffs.block)
+        s = coeffs.block
+        span = coeffs.band.shape[0]
+        per_row = -(-n // s)  # GEMM rows per plane row
         rows = int(np.prod(lead, dtype=np.int64)) if lead else 1
-        padded_len = (n_blocks + 1) * two_s
+        padded_len = 2 * (coeffs.history_pairs + s * per_row)
         dtype = coeffs.gemm_dtype
 
-        # Identical padded-plane layout to xcorr_metric: the sign plane
-        # is shared across banks, only the Toeplitz bands grow wider.
+        # The same zero-padded float copy of the plane as xcorr_metric
+        # (the caller's scratch when its dtype matches).
         if scratch is not None and scratch.dtype == dtype:
             flat = scratch.view(rows * padded_len)
         else:
@@ -118,37 +118,33 @@ class NumpyKernelBackend(KernelBackend):
         padded[:, :length] = plane.reshape(rows, length)
         padded[:, length:] = 0
 
-        # One GEMM pair over all K banks: the operand columns carry
-        # every bank's corr_re/corr_im per window (flattened index
-        # j*2K + 2k + c), so the output row reshapes straight into the
-        # (window, bank, component) metric layout.
-        m = rows * (n_blocks + 1)
-        width = two_s * k
-        x0 = flat.reshape(m, two_s)
-        x1 = flat[two_s:m * two_s].reshape(m - 1, two_s)
+        # GEMM row q gathers the span read by windows q*S .. q*S+S-1
+        # (overlapping strided rows of the padded plane); one GEMM then
+        # evaluates all K banks on the shared plane.
+        m = rows * per_row
+        size = flat.itemsize
+        spans = np.ndarray((rows, per_row, span), dtype=dtype, buffer=flat,
+                           strides=(padded_len * size, 2 * s * size, size))
+        windows = self._view("windows", dtype, m * span).reshape(m, span)
+        np.copyto(windows.reshape(rows, per_row, span), spans)
+        width = 2 * k * s
         gemm = self._view("gemm0", dtype, m * width).reshape(m, width)
-        gemm_b = self._view("gemm1", dtype, m * width).reshape(m, width)
-        np.matmul(x0, coeffs.a_matrix, out=gemm)
-        np.matmul(x1, coeffs.b_matrix, out=gemm_b[:m - 1])
-        gemm_b[m - 1:] = 0
-        gemm += gemm_b
-        corr = gemm.reshape(rows, (n_blocks + 1) * coeffs.block, k, 2)
-        corr_re = corr[:, :n, :, 0]
-        corr_im = corr[:, :n, :, 1]
+        np.matmul(windows, coeffs.band, out=gemm)
 
-        count = rows * n * k
-        sq_re = self._view("sq_re", dtype, count).reshape(rows, n, k)
-        sq_im = self._view("sq_im", dtype, count).reshape(rows, n, k)
-        np.multiply(corr_re, corr_re, out=sq_re)
-        np.multiply(corr_im, corr_im, out=sq_im)
-        summed = self._view("stacked_sum", np.int64,
-                            count).reshape(rows, n, k)
-        np.add(sq_re, sq_im, out=summed, casting="unsafe")
+        # Columns are (component, bank, window): square in place, add
+        # the components, then one cast-and-transpose into the (bank,
+        # sample) layout; the last row's windows past n are padding.
+        np.square(gemm, out=gemm)
+        corr = gemm.reshape(m, 2, k * s)
+        summed = self._view("stacked_sum", dtype, m * k * s)
+        np.add(corr[:, 0], corr[:, 1], out=summed.reshape(m, k * s))
+        full = np.empty((rows, k, per_row, s), dtype=np.int64)
+        np.copyto(full, summed.reshape(rows, per_row, k, s)
+                  .transpose(0, 2, 1, 3), casting="unsafe")
+        metric = full.reshape(lead + (k, per_row * s))[..., :n]
         if out is None:
-            out = np.empty(lead + (k, n), dtype=np.int64)
-        # (rows, n, k) -> (rows, k, n): one transposed copy into the
-        # caller-facing per-bank layout.
-        np.copyto(out.reshape(rows, k, n), summed.transpose(0, 2, 1))
+            return metric
+        np.copyto(out, metric)
         return out
 
     def moving_sums(self, padded: np.ndarray, window: int,

@@ -80,14 +80,17 @@ class Telemetry:
         windows, the detector kernels' backend and throughput counters
         (``kernels.*``), the watchdog, the DDC/DUC host profiling
         scopes, and — when a driver is given — its register-write path.
+        A disabled bundle detaches the counters, since nothing reads
+        its registry: the data path then does no per-chunk metrics work.
         """
         device.core.tracer = self.tracer
         device.core.profiler = self.profiler
         device.profiler = self.profiler
-        device.core.correlator.attach_metrics(self.metrics)
-        device.core.banked.attach_metrics(self.metrics)
-        device.core.attach_metrics(self.metrics)
-        device.core.energy.attach_metrics(self.metrics)
+        registry = self.metrics if self.enabled else None
+        device.core.correlator.attach_metrics(registry)
+        device.core.banked.attach_metrics(registry)
+        device.core.attach_metrics(registry)
+        device.core.energy.attach_metrics(registry)
         if device.core.watchdog is not None:
             device.core.watchdog.tracer = self.tracer
         if driver is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dsp.fixed_point import (
     COEFF3,
@@ -14,7 +15,31 @@ from repro.dsp.fixed_point import (
     sign_bits,
     sign_bits_iq,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StreamError
+
+#: Values where rounding and saturation are decided: signed zeros,
+#: exact half-LSB ties (k + 0.5 codes), full scale on both sides and
+#: just past it, and the infinities.
+_LSB = 1 / 32768
+_EDGES = [0.0, -0.0, 0.5 * _LSB, -0.5 * _LSB, 1.5 * _LSB, -1.5 * _LSB,
+          2.5 * _LSB, -2.5 * _LSB, 32766.5 * _LSB, -32767.5 * _LSB,
+          32767 * _LSB, -1.0, 1.0, 32767.5 * _LSB, -32768.5 * _LSB,
+          float("inf"), float("-inf")]
+_components = st.one_of(
+    st.sampled_from(_EDGES),
+    st.floats(allow_nan=False, allow_infinity=True),
+    st.floats(-1.5, 1.5, allow_nan=False),
+    st.integers(-70_000, 70_000).map(lambda k: k * 0.5 * _LSB),
+)
+
+
+def _complex(real: list[float], imag: list[float]) -> np.ndarray:
+    # Set the parts directly: real + 1j * imag would turn an infinite
+    # part into NaN (inf * 0) in the other component.
+    values = np.empty(len(real), dtype=np.complex128)
+    values.real = real
+    values.imag = imag
+    return values
 
 
 class TestFixedPointFormat:
@@ -84,6 +109,51 @@ class TestQuantize:
         step = 1 / 32768
         assert np.max(np.abs(out.real - values.real)) <= step / 2 + 1e-12
         assert np.max(np.abs(out.imag - values.imag)) <= step / 2 + 1e-12
+
+
+class TestQuantizeIq16InPlace:
+    """The in-place quantizer against the integer round-trip reference."""
+
+    @given(st.lists(st.tuples(_components, _components), max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_equal_to_reference(self, pairs):
+        values = _complex([re for re, _ in pairs], [im for _, im in pairs])
+        with np.errstate(over="ignore"):
+            reference = quantize(values, IQ16)
+            out = quantize_iq16(values)
+        assert out.dtype == np.complex128
+        assert out.tobytes() == reference.tobytes()
+
+    def test_every_edge_pair_matches(self):
+        real, imag = np.meshgrid(_EDGES, _EDGES)
+        values = _complex(real.ravel().tolist(), imag.ravel().tolist())
+        assert quantize_iq16(values).tobytes() == \
+            quantize(values, IQ16).tobytes()
+
+    def test_infinities_saturate(self):
+        out = quantize_iq16(_complex([np.inf, -np.inf], [-np.inf, np.inf]))
+        assert out.tolist() == [complex(IQ16.max_value, IQ16.min_value),
+                                complex(IQ16.min_value, IQ16.max_value)]
+
+    def test_strided_and_single_precision_inputs(self, rng):
+        values = rng.uniform(-1.2, 1.2, 64) + 1j * rng.uniform(-1.2, 1.2, 64)
+        for view in (values[::3], values.astype(np.complex64)):
+            assert quantize_iq16(view).tobytes() == \
+                quantize(view, IQ16).tobytes()
+
+    @pytest.mark.parametrize("nan", [complex(np.nan, 0.1),
+                                     complex(0.1, np.nan)])
+    def test_nan_is_a_stream_error(self, nan):
+        values = np.full(8, 0.25 + 0.25j)
+        values[5] = nan
+        with pytest.raises(StreamError, match="NaN"):
+            quantize_iq16(values)
+
+    def test_input_is_not_modified(self, rng):
+        values = rng.uniform(-2, 2, 32) + 1j * rng.uniform(-2, 2, 32)
+        before = values.copy()
+        quantize_iq16(values)
+        assert values.tobytes() == before.tobytes()
 
 
 class TestSignBits:

@@ -12,6 +12,8 @@ from repro.core.presets import reactive_jammer
 from repro.errors import ConfigurationError, StreamError
 from repro.faults import FaultPlan, FaultyRegisterBus, NO_FAULTS, StreamFaultInjector
 from repro.hw import register_map as regmap
+from repro.hw.ddc import DigitalDownConverter
+from repro.hw.impairments import TYPICAL_N210
 from repro.hw.usrp import UsrpN210
 from repro.hw.watchdog import Watchdog
 
@@ -137,3 +139,78 @@ def test_run_argument_validation(template, rng):
 
 def test_health_report_defaults():
     assert not HealthReport().degraded
+
+
+def _with_nan(signal: np.ndarray, chunk: int) -> np.ndarray:
+    """``signal`` with one NaN sample planted inside chunk ``chunk``."""
+    poisoned = signal.copy()
+    poisoned[chunk * CHUNK + 100] = complex(np.nan, 0.0)
+    return poisoned
+
+
+def test_nan_sample_fails_fast(template, rng):
+    jammer = ReactiveJammer()
+    _configure(jammer, template)
+    with pytest.raises(StreamError, match="NaN"):
+        jammer.run(_with_nan(_signal(template, rng), 3), chunk_size=CHUNK)
+
+
+def test_nan_sample_is_skipped_and_logged(template, rng):
+    signal = _signal(template, rng)
+    clean = ReactiveJammer()
+    _configure(clean, template)
+    expected = clean.run(signal, chunk_size=CHUNK)
+
+    jammer = ReactiveJammer()
+    _configure(jammer, template)
+    report = jammer.run(_with_nan(signal, 3), chunk_size=CHUNK,
+                        degradation=DegradationPolicy.SKIP_AND_LOG)
+    assert report.health.chunks_skipped == 1
+    assert report.health.samples_skipped == CHUNK
+    assert "NaN" in report.health.stream_errors[0]
+    assert jammer.device.core.clock == signal.size
+    # The NaN never reached the energy detector's carried state: the
+    # burst at 40k is detected and jammed exactly as without the gap.
+    assert report.detections == expected.detections
+    assert report.jams == expected.jams
+    assert np.all(np.isfinite(report.tx))
+
+
+def test_core_rejects_nan_before_touching_state(template, rng):
+    jammer = ReactiveJammer()
+    _configure(jammer, template)
+    core = jammer.device.core
+    chunk = np.full(64, 0.1 + 0.1j)
+    chunk[7] = complex(0.0, np.nan)
+    with pytest.raises(StreamError):
+        core.process(chunk)
+    assert core.clock == 0
+
+
+def test_skip_after_rejected_chunk_keeps_every_clock_aligned(template, rng):
+    """A chunk the DDC rejects has passed the fault stage and the CFO
+    rotation already; skipping it advances each exactly once."""
+    signal = _with_nan(_signal(template, rng, n=8 * CHUNK, burst_at=0), 2)
+    injector = StreamFaultInjector(NO_FAULTS)
+    jammer = ReactiveJammer(stream_faults=injector)
+    _configure(jammer, template)
+    jammer.device.ddc.impairments = TYPICAL_N210
+    baseband = []
+    ddc_process = jammer.device.ddc.process
+
+    def recording(samples):
+        out = ddc_process(samples)
+        baseband.append(out)
+        return out
+
+    jammer.device.ddc.process = recording
+    jammer.run(signal, chunk_size=CHUNK,
+               degradation=DegradationPolicy.SKIP_AND_LOG)
+    assert injector.clock == jammer.device.core.clock == signal.size
+
+    reference = DigitalDownConverter(impairments=TYPICAL_N210)
+    clean = np.nan_to_num(signal)
+    expected = [reference.process(clean[start:start + CHUNK])
+                for start in range(0, signal.size, CHUNK)]
+    del expected[2]
+    assert [b.tobytes() for b in baseband] == [e.tobytes() for e in expected]

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.dsp.fixed_point import IQ16
 from repro.errors import StreamError
 from repro.hw.ddc import DigitalDownConverter
 from repro.hw.duc import DigitalUpConverter
+from repro.hw.impairments import TYPICAL_N210
 
 
 class TestDdc:
@@ -42,12 +44,53 @@ class TestDdc:
         with pytest.raises(StreamError):
             DigitalDownConverter().process(np.zeros((2, 2)))
 
+    def test_skip_resumes_the_cfo_phase(self, rng):
+        x = 0.3 * (rng.standard_normal(3000) + 1j * rng.standard_normal(3000))
+        chunks = [x[:1000], x[1000:1700], x[1700:]]
+        whole = DigitalDownConverter(impairments=TYPICAL_N210)
+        expected = [whole.process(chunk) for chunk in chunks]
+        gapped = DigitalDownConverter(impairments=TYPICAL_N210)
+        gapped.process(chunks[0])
+        gapped.skip(chunks[1].size)
+        assert gapped.process(chunks[2]).tobytes() == expected[2].tobytes()
+
+    def test_rejected_chunk_leaves_the_clock_for_skip(self, rng):
+        x = 0.3 * (rng.standard_normal(600) + 1j * rng.standard_normal(600))
+        whole = DigitalDownConverter(impairments=TYPICAL_N210)
+        whole.process(x[:200])
+        whole.process(x[200:400])
+        expected = whole.process(x[400:])
+        gapped = DigitalDownConverter(impairments=TYPICAL_N210)
+        gapped.process(x[:200])
+        bad = x[200:400].copy()
+        bad[17] = complex(np.nan, 0.0)
+        with pytest.raises(StreamError):
+            gapped.process(bad)
+        gapped.skip(bad.size)
+        assert gapped.process(x[400:]).tobytes() == expected.tobytes()
+
+    def test_skip_rejects_negative(self):
+        with pytest.raises(StreamError):
+            DigitalDownConverter().skip(-1)
+
+    def test_infinite_sample_saturates_at_unity_gain(self):
+        x = np.zeros(4, dtype=np.complex128)
+        x.real[1] = np.inf
+        x.imag[2] = -np.inf
+        out = DigitalDownConverter().process(x)
+        assert out[1] == IQ16.max_value
+        assert out[2] == complex(0.0, IQ16.min_value)
+
 
 class TestDuc:
     def test_unity_gain(self, rng):
         duc = DigitalUpConverter(tx_gain_db=0.0)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        assert np.allclose(duc.process(x), x)
+        assert duc.process(x).tobytes() == x.tobytes()
+
+    def test_does_not_clip(self):
+        duc = DigitalUpConverter(tx_gain_db=20.0)
+        assert np.allclose(duc.process(np.full(4, 0.5 + 0j)), 5.0)
 
     def test_attenuation(self):
         duc = DigitalUpConverter(tx_gain_db=-20.0)

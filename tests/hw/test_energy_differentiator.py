@@ -149,3 +149,26 @@ class TestTriggers:
         det2.threshold_high_db = 10.0
         high2, _ = det2.process(step)
         assert high2.any()
+
+
+class TestEdges:
+    @pytest.mark.parametrize("chunk", [1, 50, 149, 150, 151, 1000])
+    def test_chunked_edges_equal_single_shot(self, chunk):
+        # Bursts whose trigger runs cross chunk boundaries: the carried
+        # last bit must suppress the duplicate edge at chunk start.
+        x = np.full(1200, 0.001 + 0j)
+        x[150:400] = 1.0
+        x[700:1000] = 1.0
+        whole = EnergyDifferentiator().detect(x)
+        det = EnergyDifferentiator()
+        last_high = last_low = False
+        edges_high, edges_low = [], []
+        for start in range(0, x.size, chunk):
+            high, low, eh, el = det.detect(x[start:start + chunk],
+                                           last_high, last_low)
+            last_high, last_low = bool(high[-1]), bool(low[-1])
+            edges_high += (eh + start).tolist()
+            edges_low += (el + start).tolist()
+        assert edges_high == whole[2].tolist()
+        assert edges_low == whole[3].tolist()
+        assert edges_high and edges_low

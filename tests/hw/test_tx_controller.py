@@ -174,6 +174,27 @@ class TestReplay:
         _o, wave = tx.synthesize(iv, 0, 100)
         assert np.allclose(wave[:8], first)
 
+    @pytest.mark.parametrize("chunk", [1, 100, 511, MAX_REPLAY_LENGTH,
+                                       513, 2000])
+    def test_history_is_the_stream_tail(self, rng, chunk):
+        """For chunks below, at and above the depth, the capture buffer
+        holds the last MAX_REPLAY_LENGTH samples of the whole stream."""
+        stream = rng.standard_normal(3 * MAX_REPLAY_LENGTH + 37) \
+            + 1j * rng.standard_normal(3 * MAX_REPLAY_LENGTH + 37)
+        tx = TransmitController()
+        for start in range(0, stream.size, chunk):
+            tx.observe_rx(stream[start:start + chunk])
+            seen = stream[:start + chunk]
+            assert tx._rx_history.tobytes() == \
+                seen[-MAX_REPLAY_LENGTH:].tobytes()
+
+    def test_history_does_not_alias_the_chunk(self, rng):
+        tx = TransmitController()
+        chunk = rng.standard_normal(1000) + 0j
+        tx.observe_rx(chunk)
+        chunk[:] = 0
+        assert np.all(tx._rx_history != 0)
+
     def test_release_interval_drops_snapshot(self, rng):
         tx = TransmitController(waveform=JamWaveform.REPLAY, uptime_samples=8)
         tx.observe_rx(rng.standard_normal(8) + 0j)

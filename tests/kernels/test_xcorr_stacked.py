@@ -23,6 +23,7 @@ from repro.kernels import (
     xcorr_metric,
     xcorr_metric_stacked,
 )
+from repro.kernels.xcorr import STACKED_WINDOWS
 from repro.runtime.cache import DEFAULT_CACHE
 
 TAPS = 64
@@ -60,7 +61,9 @@ class TestPrepareStacked:
         assert coeffs.stacked.shape == (16, 4)
         # Front padding: the short bank's first 3 pairs are zero.
         assert not coeffs.stacked[:6, 0:2].any()
-        assert coeffs.a_matrix.shape == (16, 8 * 4)
+        # One GEMM row: S windows reading S + 7 pairs, 2K columns each.
+        windows = STACKED_WINDOWS
+        assert coeffs.band.shape == (2 * (windows + 7), 2 * 2 * windows)
 
     def test_repeat_call_is_a_cache_hit_returning_same_instance(self):
         rng = np.random.default_rng(1)
@@ -154,6 +157,27 @@ class TestStackedMetric:
         for r in range(3):
             np.testing.assert_array_equal(
                 out[r], xcorr_metric_stacked(planes[r], stacked))
+
+    def test_out_receives_the_metric(self):
+        # 301 samples: the last GEMM row of each plane row is partial.
+        rng = np.random.default_rng(9)
+        stacked = prepare_stacked(_random_banks(rng, 3))
+        planes = np.stack([_plane(rng, 301, stacked.history_pairs)
+                           for _ in range(2)])
+        out = np.empty((2, 3, 301), dtype=np.int64)
+        assert xcorr_metric_stacked(planes, stacked, out=out) is out
+        np.testing.assert_array_equal(
+            out, xcorr_metric_stacked(planes, stacked))
+        for r in range(2):
+            np.testing.assert_array_equal(
+                out[r], xcorr_metric_stacked(planes[r], stacked))
+
+    def test_history_only_plane_gives_an_empty_metric(self):
+        stacked = prepare_stacked(_random_banks(np.random.default_rng(10), 2))
+        plane = np.zeros(2 * stacked.history_pairs, dtype=np.int8)
+        metric = xcorr_metric_stacked(plane, stacked)
+        assert metric.shape == (2, 0)
+        assert metric.dtype == np.int64
 
 
 class TestStackedDetect:

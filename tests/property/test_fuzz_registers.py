@@ -9,14 +9,16 @@ random writes and then push signal through the core.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.channel.awgn import awgn
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.hw import register_map as regmap
 from repro.hw.dsp_core import CustomDspCore
 from repro.hw.registers import NUM_REGISTERS
 from repro.hw.trigger import TriggerStateMachine
+from repro.hw.watchdog import Watchdog
 
 # Addresses and 32-bit payloads.
 addresses = st.integers(0, NUM_REGISTERS - 1)
@@ -88,3 +90,28 @@ def test_any_trigger_config_word_is_safe(word):
     except ReproError:
         return  # an unknown source encoding is legitimately rejected
     assert 1 <= len(core.fsm.stages) <= 3
+
+
+# Hypothesis once found these writes: a bank select past the last bank,
+# then a windowed coefficient word, which indexed past the shadow banks.
+_BANK_SELECT_OVERFLOW = [(regmap.REG_BANK_SELECT, regmap.MAX_BANKS),
+                         (regmap.REG_BANK_COEFF_I_BASE, 0)]
+
+
+def test_bank_select_overflow_is_rejected_without_watchdog():
+    core = CustomDspCore()
+    (select, bad), (coeff, word) = _BANK_SELECT_OVERFLOW
+    with pytest.raises(ConfigurationError, match="bank select"):
+        core.bus.write(select, bad)
+    core.bus.write(coeff, word)  # lands in the still-selected bank 0
+    assert core.process(np.zeros(64, dtype=np.complex128)).tx.size == 64
+
+
+def test_bank_select_overflow_enters_safe_state_with_watchdog():
+    core = CustomDspCore(watchdog=Watchdog())
+    for address, value in _BANK_SELECT_OVERFLOW:
+        core.bus.write(address, value)
+    assert regmap.REG_BANK_SELECT in core.watchdog.illegal_registers
+    assert core.watchdog.safe_state
+    core.bus.write(regmap.REG_BANK_SELECT, regmap.MAX_BANKS - 1)
+    assert not core.watchdog.safe_state

@@ -13,6 +13,7 @@ from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
 from repro.hw.energy_differentiator import EnergyDifferentiator
 from repro.hw.registers import pack_signed_fields, unpack_signed_fields
 from repro.hw.trigger import TriggerSource, TriggerStateMachine, rising_edges
+from repro.kernels import rising_edge_plane
 from repro.phy.bits import bits_to_bytes, bytes_to_bits, check_fcs, append_fcs
 from repro.phy.coding import CodeRate, ConvolutionalCode
 from repro.phy.interleaving import deinterleave, interleave
@@ -231,3 +232,5 @@ def test_rising_edges_count_matches_transitions(bits, prev):
     padded = np.concatenate([[prev], trig])
     expected = int(np.sum(~padded[:-1] & padded[1:]))
     assert edges.size == expected
+    np.testing.assert_array_equal(
+        edges, np.flatnonzero(rising_edge_plane(trig, prev)))

@@ -81,10 +81,18 @@ class TestAttach:
         assert jammer.device.core.fsm.tracer is telemetry.tracer
 
     def test_disabled_bundle_leaves_probes_null(self):
-        jammer = ReactiveJammer(telemetry=Telemetry.disabled())
-        assert jammer.device.core.tracer is NULL_TRACER
-        assert jammer.device.core.profiler is None
+        telemetry = Telemetry.disabled()
+        jammer = ReactiveJammer(telemetry=telemetry)
+        core = jammer.device.core
+        assert core.tracer is NULL_TRACER
+        assert core.profiler is None
         assert jammer.device.profiler is None
+        # No kernels.* or detect.which_protocol.* counter is wired.
+        for block in (core.correlator, core.banked, core.energy):
+            assert block._metric_chunks is None
+            assert block._metric_samples is None
+        assert core._protocol_registry is None
+        assert telemetry.metrics.snapshot()["counters"] == {}
 
     def test_no_telemetry_means_null_defaults(self):
         jammer = ReactiveJammer()
