@@ -63,7 +63,7 @@ def _detection_with_impairments(impairments: FrontEndImpairments | None,
             block[GUARD:] += frame * (scale * phase)
             if impairments is not None:
                 block = impairments.apply(block)
-            trig = correlator.process(block)
+            (trig,) = correlator.process(block)
             edges = rising_edges(trig, last)
             last = bool(trig[-1])
             if edges[edges >= GUARD].size:

@@ -56,7 +56,7 @@ def _run():
             phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
             block = awgn(GUARD + frame.size, 1.0, rng)
             block[GUARD:] += frame * (scale * phase)
-            if correlator.process(block)[GUARD:].any():
+            if correlator.process(block)[0, GUARD:].any():
                 hw_hits += 1
             corr = normalized_cross_correlation(block, template)
             if np.any(corr[GUARD:] > float_threshold):

@@ -1,13 +1,14 @@
-"""Stacked multi-standard correlator bank vs serial single-bank runs.
+"""Stacked multi-standard correlator bank vs serial one-bank runs.
 
-The tentpole claim of the stacked-bank kernel: detecting K protocols
-takes ONE pass over the received trace — one shared sign plane, one
-dual-GEMM against the block-Toeplitz stack of all K coefficient banks
-— instead of K full runs of the single-bank correlator.  All the
-per-run work that does not scale with K (DDC, IQ16 quantization, sign
-slicing, energy detection, per-chunk Python dispatch) is paid once
-instead of four times, so the stacked pass beats four serial runs
-even though it does the same correlation FLOPs.
+The claim of the K-bank kernel: detecting K protocols takes ONE pass
+over the received trace — one shared sign plane, one windowed GEMM
+against the band of all K coefficient banks — instead of K full runs
+of a one-bank correlator.  The serial runs are the K=1 case of the
+same kernel.  All the per-run work that does not scale with K (DDC,
+IQ16 quantization, sign slicing, energy detection, per-chunk Python
+dispatch) is paid once instead of four times, so the stacked pass
+beats four serial runs even though it does the same correlation
+FLOPs.
 
 The bench mixes 12 frames each of 802.11g OFDM, 802.11b DSSS,
 802.16e OFDMA, and 802.15.4 O-QPSK into one 69 ms airtime trace, then

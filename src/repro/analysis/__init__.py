@@ -34,7 +34,7 @@ RJ007     model code (``hw/``, ``dsp/``, ``phy/``) never reads the
 RJ008     process pools are only built in :mod:`repro.runtime`, the
           pool-policy choke point
 RJ009     raw DSP primitives (``np.correlate`` & friends) stay in
-          :mod:`repro.kernels`, behind the backend dispatch
+          :mod:`repro.kernels`, behind the bit-exact kernels
 RJ010     whole-program: integer state in ``hw/``/``dsp/``/
           ``kernels/`` is never silently widened to float, across
           assignments and one level of intra-project calls
@@ -44,8 +44,6 @@ RJ011     whole-program: no ambient RNG (unseeded ``default_rng``,
 RJ012     whole-program: telemetry spans enter their scope (no
           discarded context managers) and probe points stay on the
           ``NULL_TRACER``-safe base Tracer interface
-RJ013     whole-program: every numpy-reference kernel op exists on
-          every other backend with a matching signature
 ========  ==========================================================
 
 The analyzer itself is pure stdlib (``ast`` + ``tokenize``); its only

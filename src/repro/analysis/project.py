@@ -1,9 +1,8 @@
 """The whole-program index: phase one of the two-phase verifier.
 
 Per-file AST analysis cannot see a float that leaks into the int64
-xcorr path *across a call boundary*, an unseeded RNG reached from a
-sweep entry point two modules away, or a numpy kernel op with no numba
-counterpart.  This module builds the :class:`ProjectContext` those
+xcorr path *across a call boundary*, or an unseeded RNG reached from a
+sweep entry point two modules away.  This module builds the :class:`ProjectContext` those
 rules need: a module/import graph over every analyzed file, a symbol
 table of functions and classes, an approximate call graph, and
 per-function summaries (parameter/return dtype abstractions, decorator

@@ -3,9 +3,11 @@
 The paper's platform is "extremely flexible and programmable to adapt
 quickly on the fly"; operators accumulate working configurations.
 A profile snapshots everything the host programs over the register
-bus — correlator coefficients, thresholds, the trigger definition, and
-the jamming response — as a plain JSON-able dict, and restoring one is
-nothing but register writes (no FPGA reprogramming, as §4.3 stresses).
+bus — correlator coefficients, thresholds, the multi-standard banks,
+the trigger definition, and the jamming response — as a plain
+JSON-able dict, and restoring one is nothing but register writes (no
+FPGA reprogramming, as §4.3 stresses).  A profile without bank entries
+means legacy mode: restoring it writes a bank count of zero.
 """
 
 from __future__ import annotations
@@ -23,6 +25,44 @@ from repro.hw.usrp import UsrpN210
 
 #: Schema version for forward compatibility.
 PROFILE_VERSION = 1
+
+
+def _bank_entries(core) -> list[dict]:
+    """One entry per live multi-standard bank (none in legacy mode)."""
+    entries = []
+    for index in range(core.bank_count):
+        coeffs_i, coeffs_q = core.banked.bank_coefficients(index)
+        entries.append({
+            "label": core.banked.labels[index],
+            "coeffs_i": [int(c) for c in coeffs_i],
+            "coeffs_q": [int(c) for c in coeffs_q],
+            "threshold": int(core.banked.thresholds[index]),
+        })
+    return entries
+
+
+def _apply_banks(device: UsrpN210, driver: UhdDriver,
+                 banks: list[dict]) -> None:
+    """Program the banks in ``set_correlator_banks``' order.
+
+    The count is parked at 0, then every threshold and coefficient word
+    is shipped, and the count write comes last; with no banks the count
+    stays 0, the legacy mode.
+    """
+    driver.set_bank_count(0)
+    if not banks:
+        return
+    for index, bank in enumerate(banks):
+        device.core.set_bank_label(index, bank["label"])
+    for index, bank in enumerate(banks):
+        driver.set_bank_threshold(index, bank["threshold"])
+    for index, bank in enumerate(banks):
+        # The driver's public bank setters quantize complex templates;
+        # a profile holds the already-quantized words.
+        driver._write_bank_coefficients(
+            index, np.array(bank["coeffs_i"], dtype=np.int64),
+            np.array(bank["coeffs_q"], dtype=np.int64))
+    driver.set_bank_count(len(banks))
 
 
 def snapshot_profile(device: UsrpN210, name: str = "unnamed") -> dict:
@@ -43,6 +83,7 @@ def snapshot_profile(device: UsrpN210, name: str = "unnamed") -> dict:
             "xcorr_threshold": core.correlator.threshold,
             "energy_high_db": core.energy.threshold_high_db,
             "energy_low_db": core.energy.threshold_low_db,
+            "banks": _bank_entries(core),
         },
         "trigger": {
             "sources": [s.source.name for s in core.fsm.stages],
@@ -89,6 +130,7 @@ def apply_profile(device: UsrpN210, profile: dict) -> int:
         driver.set_xcorr_threshold(det["xcorr_threshold"])
         driver.set_energy_thresholds(det["energy_high_db"],
                                      det["energy_low_db"])
+        _apply_banks(device, driver, det.get("banks", []))
 
         trig = profile["trigger"]
         sources = [TriggerSource[name] for name in trig["sources"]]

@@ -134,11 +134,10 @@ def measured_false_alarm_rate(correlator: CrossCorrelator, duration_s: float,
     """
     total_samples = int(duration_s * units.BASEBAND_RATE)
     prepared = correlator.prepared_coefficients
-    threshold = correlator.threshold
-    backend = correlator.backend
+    thresholds = correlator.thresholds
     triggers = 0
     history = None
-    last = False
+    last = None
     remaining = total_samples
     while remaining > 0:
         n = min(chunk_samples, remaining)
@@ -147,9 +146,8 @@ def measured_false_alarm_rate(correlator: CrossCorrelator, duration_s: float,
         awgn(n, 1.0, rng, out=blocks.reshape(-1)[:n])
         lengths = np.full(n_rows, _FA_ROW_SAMPLES, dtype=np.int64)
         lengths[-1] = n - _FA_ROW_SAMPLES * (n_rows - 1)
-        result = xcorr_detect_batch(blocks, lengths, prepared, threshold,
-                                    history=history, last=last,
-                                    backend=backend)
+        result = xcorr_detect_batch(blocks, lengths, prepared, thresholds,
+                                    history=history, last=last)
         triggers += int(result.edge_plane.sum())
         history = result.history
         last = result.last
@@ -270,10 +268,10 @@ def _count_frames(spec: _CurveTrialSpec, rng: np.random.Generator
                                      threshold, threshold)
         edge_plane = result.edge_high
     else:
-        prepared = prepare_coefficients(spec.coeffs_i, spec.coeffs_q)
+        prepared = prepare_coefficients([(spec.coeffs_i, spec.coeffs_q)])
         result = xcorr_detect_batch(blocks, lengths, prepared,
-                                    spec.threshold)
-        edge_plane = result.edge_plane
+                                    [spec.threshold])
+        edge_plane = result.edge_plane[:, 0]
     frame_rows = edge_plane[1:] if warmup else edge_plane
     in_frame = frame_rows[:, GUARD_SAMPLES:]
     per_frame = in_frame.sum(axis=1)
@@ -326,7 +324,11 @@ def _xcorr_trial_looped(spec: _CurveTrialSpec, rng: np.random.Generator
     """Streaming-reference correlator trial (identity tests, benchmarks)."""
     correlator = CrossCorrelator(spec.coeffs_i, spec.coeffs_q,
                                  threshold=spec.threshold)
-    return _count_frames_looped(spec, correlator.process, rng)
+
+    def process(block: np.ndarray) -> np.ndarray:
+        return correlator.process(block)[0]
+
+    return _count_frames_looped(spec, process, rng)
 
 
 def _energy_trial_looped(spec: _CurveTrialSpec, rng: np.random.Generator

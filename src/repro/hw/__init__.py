@@ -10,9 +10,8 @@ core block-for-block:
 * :mod:`repro.hw.register_map` — the 24-register layout used by the
   design, including packed 3-bit correlator coefficients.
 * :mod:`repro.hw.cross_correlator` — the 64-sample sign-bit weighted
-  phase correlator (paper Fig. 3).
-* :mod:`repro.hw.banked_correlator` — up to four stacked protocol
-  banks evaluated in one GEMM pass (multi-standard detection).
+  phase correlator (paper Fig. 3), with up to four protocol banks
+  evaluated in one GEMM pass (multi-standard detection).
 * :mod:`repro.hw.energy_differentiator` — the 32-sample moving-sum
   energy rise/fall detector (paper Fig. 4).
 * :mod:`repro.hw.trigger` — the three-stage trigger event state
@@ -39,7 +38,6 @@ timeline analysis is exact.
 from __future__ import annotations
 
 from repro.hw.registers import UserRegisterBus
-from repro.hw.banked_correlator import BankedCrossCorrelator
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
 from repro.hw.energy_differentiator import EnergyDifferentiator
 from repro.hw.trigger import TriggerMode, TriggerSource, TriggerStateMachine
@@ -54,7 +52,6 @@ from repro.hw.vita_time import VitaTimestamp, VitaTimeSource
 
 __all__ = [
     "UserRegisterBus",
-    "BankedCrossCorrelator",
     "CrossCorrelator",
     "quantize_coefficients",
     "EnergyDifferentiator",

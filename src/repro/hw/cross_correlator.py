@@ -18,15 +18,17 @@ The output peaks on the sample where the last template symbol arrives,
 so a detection fires exactly 64 samples (2.56 us at 25 MSPS) after the
 start of a 64-sample preamble — the paper's T_xcorr_det.
 
-This class is the thin stateful *facade*: it owns the streaming
-history, the threshold register, and the scratch buffers, while the
-per-sample math runs in :mod:`repro.kernels` (one fused kernel call
-per chunk instead of the four ``np.correlate`` passes the seed model
-used).  The kernel backend is picked at construction
-(:func:`repro.kernels.get_backend`, honoring ``REPRO_KERNEL_BACKEND``)
-and every backend is byte-identical to the numpy reference.  A
-correlator whose threshold no metric can exceed (:attr:`silent`, the
-power-on state) skips the kernel and only carries its sign history.
+This class is the thin stateful *facade* for 1..``MAX_BANKS`` such
+correlators sharing one sign-sliced input, as in the multi-standard
+detector of Chacko et al.: one datapath, run-time-swappable banks.  It
+owns the streaming sign history, per-bank thresholds, labels and
+trigger carries, while the per-sample math runs in
+:mod:`repro.kernels` (one GEMM per chunk for every bank instead of the
+four ``np.correlate`` passes the seed model used).  The DSP core keeps
+two instances: the paper's legacy registers program a one-bank
+correlator, the bank registers a K-bank one.  A correlator none of
+whose banks can fire (:attr:`silent`, the power-on state) skips the
+kernel and only carries its sign history.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ import numpy as np
 
 from repro.dsp.fixed_point import COEFF3
 from repro.errors import ConfigurationError, StreamError
-from repro.hw.register_map import CORRELATOR_LENGTH
+from repro.hw.register_map import CORRELATOR_LENGTH, MAX_BANKS
 from repro.kernels import (
-    get_backend,
     prepare_coefficients,
     sign_plane,
     xcorr_detect,
+    xcorr_metric,
 )
 from repro.runtime.buffers import ScratchBuffer
 from repro.runtime.cache import cached_artifact
@@ -53,15 +55,10 @@ PIPELINE_LATENCY_CLOCKS = 1
 #: 64 * (|cI| + |cQ|) <= 64 * (4 + 4), so the metric fits in 32 bits.
 METRIC_MAX = 2 * (CORRELATOR_LENGTH * 8) ** 2
 
+#: Host-side protocol names when the caller provides none.
+DEFAULT_BANK_LABELS = tuple(f"bank{k}" for k in range(MAX_BANKS))
 
-def metric_ceiling(coeffs_i: np.ndarray, coeffs_q: np.ndarray) -> int:
-    """Upper bound of a bank's metric: ``2 * (sum|cI| + sum|cQ|)**2``.
-
-    Each sign-bit product contributes at most ``|cI| + |cQ|`` to
-    ``|Re|`` and to ``|Im|``, so neither exceeds the sum over taps.
-    """
-    bound = int(np.abs(coeffs_i).sum() + np.abs(coeffs_q).sum())
-    return 2 * bound * bound
+_EMPTY_EDGES = np.zeros(0, dtype=np.int64)
 
 
 @cached_artifact
@@ -74,7 +71,7 @@ def quantize_coefficients(template: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Memoized by template content (:mod:`repro.runtime.cache`): the
     returned banks are frozen read-only arrays shared by every caller;
-    :meth:`CrossCorrelator.load_coefficients` copies them anyway.
+    :meth:`CrossCorrelator.load_bank` copies them anyway.
 
     Returns:
         ``(coeffs_i, coeffs_q)`` int arrays of length 64 in [-4, 3].
@@ -94,103 +91,206 @@ def quantize_coefficients(template: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return coeffs_i.astype(np.int64), coeffs_q.astype(np.int64)
 
 
-class CrossCorrelator:
-    """Streaming sign-bit cross-correlator with run-time coefficients.
+def _check_bank(coeffs_i: np.ndarray | None,
+                coeffs_q: np.ndarray | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one 64-tap 3-bit bank; returns int64 copies."""
+    bank = []
+    for name, coeffs in (("I", coeffs_i), ("Q", coeffs_q)):
+        if coeffs is None:
+            raise ConfigurationError(f"missing {name} coefficient bank")
+        coeffs = np.array(coeffs, dtype=np.int64)
+        if coeffs.ndim != 1 or coeffs.size != CORRELATOR_LENGTH:
+            raise ConfigurationError(
+                f"{name} bank must have {CORRELATOR_LENGTH} coefficients"
+            )
+        if np.any(coeffs < COEFF3.min_int) \
+                or np.any(coeffs > COEFF3.max_int):
+            raise ConfigurationError(
+                f"{name} coefficients exceed the 3-bit signed range"
+            )
+        bank.append(coeffs)
+    return bank[0], bank[1]
 
-    The block keeps the last 63 sign pairs across chunk boundaries so
-    that feeding a signal chunk-wise matches a single-shot call.
+
+def _check_threshold(value) -> int:
+    value = int(value)
+    if not 0 <= value <= 0xFFFF_FFFF:
+        raise ConfigurationError("threshold must fit the 32-bit register")
+    return value
+
+
+class CrossCorrelator:
+    """Streaming sign-bit cross-correlator over 1..``MAX_BANKS`` banks.
+
+    Every bank is 64 taps, so the banks share the last 63 sign pairs
+    across chunk boundaries and feeding a signal chunk-wise matches a
+    single-shot call.  Bank ``k``'s output is byte-identical to a
+    one-bank correlator holding only bank ``k``.  The constructor
+    loads one bank (zeros and a never-firing threshold by default, the
+    power-on state); :meth:`load_banks` loads ``K``.
     """
 
     def __init__(self, coeffs_i: np.ndarray | None = None,
                  coeffs_q: np.ndarray | None = None,
-                 threshold: int = METRIC_MAX,
-                 backend: str | None = None) -> None:
-        self._backend = get_backend(backend)
-        self._coeffs_i = np.zeros(CORRELATOR_LENGTH, dtype=np.int64)
-        self._coeffs_q = np.zeros(CORRELATOR_LENGTH, dtype=np.int64)
-        self._prepared = prepare_coefficients(self._coeffs_i,
-                                              self._coeffs_q)
-        self._ceiling = 0
-        if coeffs_i is not None or coeffs_q is not None:
-            self.load_coefficients(coeffs_i, coeffs_q)
-        self.threshold = threshold
+                 threshold: int = METRIC_MAX) -> None:
         # The interleaved sign history (zeros after reset, exactly as
-        # the hardware shift register clears); the scratch buffers
-        # carry the [history | chunk] plane and the kernel's padded
-        # GEMM storage across calls without reallocating.
+        # the hardware shift register clears); the scratch carries the
+        # [history | chunk] plane across calls without reallocating.
         self._history = np.zeros(2 * (CORRELATOR_LENGTH - 1),
                                  dtype=np.int8)
         self._plane_scratch = ScratchBuffer(np.int8)
-        self._gemm_scratch = ScratchBuffer(self._prepared.gemm_dtype)
         self._metric_chunks = None
         self._metric_samples = None
+        if coeffs_i is None and coeffs_q is None:
+            coeffs_i = coeffs_q = np.zeros(CORRELATOR_LENGTH,
+                                           dtype=np.int64)
+        self.load_banks([(coeffs_i, coeffs_q)], [threshold])
+
+    # ------------------------------------------------------------------
+    # Configuration
 
     @property
-    def backend(self) -> str:
-        """Name of the kernel backend this instance dispatches to."""
-        return self._backend.name
+    def n_banks(self) -> int:
+        """Number of loaded banks ``K``."""
+        return len(self._banks)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Host-side protocol name per bank."""
+        return self._labels
+
+    @property
+    def thresholds(self) -> np.ndarray:
+        """Per-bank detection thresholds (copy)."""
+        return self._thresholds.copy()
 
     @property
     def threshold(self) -> int:
-        """Detection threshold compared against the squared metric."""
-        return self._threshold
+        """Bank 0's threshold, the paper's legacy threshold register."""
+        return int(self._thresholds[0])
 
     @threshold.setter
     def threshold(self, value: int) -> None:
-        if not 0 <= value <= 0xFFFF_FFFF:
-            raise ConfigurationError("threshold must fit the 32-bit register")
-        self._threshold = int(value)
+        self.set_threshold(0, value)
 
     @property
     def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current I and Q coefficient banks (copies)."""
-        return self._coeffs_i.copy(), self._coeffs_q.copy()
+        """Bank 0's I and Q coefficients (copies)."""
+        return self.bank_coefficients(0)
 
     @property
     def prepared_coefficients(self):
-        """The kernel-ready coefficient bank (frozen, shareable)."""
+        """The kernel-ready coefficient operand (frozen, shareable)."""
         return self._prepared
 
     @property
     def silent(self) -> bool:
-        """Whether no stream can fire: threshold >= the bank's ceiling.
+        """Whether no stream can fire: each threshold >= its ceiling.
 
-        The trigger needs ``metric > threshold`` and no metric exceeds
-        :func:`metric_ceiling`, so a silent correlator's triggers are
-        all False whatever it receives.  :meth:`detect` skips the GEMM
-        for it; the hardware runs the datapath regardless, with the
-        same (empty) output.
+        A bank's trigger needs ``metric > threshold`` and no metric
+        exceeds :func:`repro.kernels.metric_ceiling`, so a silent
+        correlator's triggers are all False whatever it receives.
+        :meth:`detect` skips the GEMM for it; the hardware runs the
+        datapath regardless, with the same (empty) output.
         """
-        return self._threshold >= self._ceiling
+        return self._silent
+
+    def bank_coefficients(self, index: int
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """Bank ``index``'s I and Q coefficients (copies)."""
+        coeffs_i, coeffs_q = self._banks[index]
+        return coeffs_i.copy(), coeffs_q.copy()
+
+    def load_banks(self, banks, thresholds, labels=None) -> None:
+        """Load a full bank set: ``K`` ``(coeffs_i, coeffs_q)`` pairs.
+
+        Replaces any previous configuration; the per-bank trigger
+        carries restart cleared (as ``K`` freshly-reset correlators
+        would) while the shared sign history — received data — is
+        kept.
+        """
+        banks = [_check_bank(ci, cq) for ci, cq in banks]
+        if not 1 <= len(banks) <= MAX_BANKS:
+            raise ConfigurationError(
+                f"bank count must be 1..{MAX_BANKS}, got {len(banks)}"
+            )
+        thresholds = [_check_threshold(t) for t in thresholds]
+        if len(thresholds) != len(banks):
+            raise ConfigurationError(
+                f"expected {len(banks)} thresholds, got {len(thresholds)}"
+            )
+        if labels is None:
+            labels = DEFAULT_BANK_LABELS[:len(banks)]
+        labels = tuple(str(label) for label in labels)
+        if len(labels) != len(banks):
+            raise ConfigurationError(
+                f"expected {len(banks)} labels, got {len(labels)}"
+            )
+        self._banks = banks
+        self._thresholds = np.array(thresholds, dtype=np.int64)
+        self._labels = labels
+        self._last = np.zeros(len(banks), dtype=bool)
+        self._no_edges = (_EMPTY_EDGES,) * len(banks)
+        self._restack()
+
+    def _check_index(self, index: int) -> int:
+        if not 0 <= index < len(self._banks):
+            raise ConfigurationError(
+                f"bank index {index} outside the {len(self._banks)} "
+                "loaded banks"
+            )
+        return index
+
+    def load_bank(self, index: int, coeffs_i: np.ndarray | None,
+                  coeffs_q: np.ndarray | None,
+                  label: str | None = None) -> None:
+        """Hot-swap one bank's coefficients (effective next chunk).
+
+        The sign history and every trigger carry are untouched —
+        swapping a template does not clear the hardware shift register
+        or the comparator output registers.
+        """
+        self._check_index(index)
+        self._banks[index] = _check_bank(coeffs_i, coeffs_q)
+        if label is not None:
+            self.set_label(index, label)
+        self._restack()
 
     def load_coefficients(self, coeffs_i: np.ndarray | None,
                           coeffs_q: np.ndarray | None) -> None:
-        """Load 3-bit signed coefficient banks (run-time programmable)."""
-        for name, bank in (("I", coeffs_i), ("Q", coeffs_q)):
-            if bank is None:
-                raise ConfigurationError(f"missing {name} coefficient bank")
-        coeffs_i = np.asarray(coeffs_i, dtype=np.int64)
-        coeffs_q = np.asarray(coeffs_q, dtype=np.int64)
-        for name, bank in (("I", coeffs_i), ("Q", coeffs_q)):
-            if bank.size != CORRELATOR_LENGTH:
-                raise ConfigurationError(
-                    f"{name} bank must have {CORRELATOR_LENGTH} coefficients"
-                )
-            if np.any(bank < COEFF3.min_int) or np.any(bank > COEFF3.max_int):
-                raise ConfigurationError(
-                    f"{name} coefficients exceed the 3-bit signed range"
-                )
-        self._coeffs_i = coeffs_i.copy()
-        self._coeffs_q = coeffs_q.copy()
-        self._prepared = prepare_coefficients(coeffs_i, coeffs_q)
-        self._ceiling = metric_ceiling(coeffs_i, coeffs_q)
+        """Load bank 0, the paper's legacy coefficient registers."""
+        self.load_bank(0, coeffs_i, coeffs_q)
+
+    def set_label(self, index: int, label: str) -> None:
+        """Rename one bank's host-side protocol label."""
+        labels = list(self._labels)
+        labels[self._check_index(index)] = str(label)
+        self._labels = tuple(labels)
+
+    def set_threshold(self, index: int, threshold: int) -> None:
+        """Retune one bank's detection threshold (effective next chunk)."""
+        self._check_index(index)
+        self._thresholds[index] = _check_threshold(threshold)
+        self._update_silent()
+
+    def _restack(self) -> None:
+        self._prepared = prepare_coefficients(self._banks)
+        self._update_silent()
+
+    def _update_silent(self) -> None:
+        self._silent = all(
+            threshold >= ceiling for threshold, ceiling
+            in zip(self._thresholds.tolist(), self._prepared.ceilings))
+
+    # ------------------------------------------------------------------
+    # Telemetry
 
     def attach_metrics(self, registry) -> None:
         """Fold per-chunk throughput counters into a metrics registry.
 
-        Exposes ``kernels.xcorr.chunks`` / ``kernels.xcorr.samples``
-        and bumps ``kernels.backend.<name>.selected`` once, so a
-        telemetry snapshot records which backend produced the run.
+        Exposes ``kernels.xcorr.chunks`` / ``kernels.xcorr.samples``;
+        every correlator on a registry counts into the same pair.
         Pass ``None`` to detach.
         """
         if registry is None:
@@ -199,12 +299,25 @@ class CrossCorrelator:
             return
         self._metric_chunks = registry.counter("kernels.xcorr.chunks")
         self._metric_samples = registry.counter("kernels.xcorr.samples")
-        registry.counter(
-            f"kernels.backend.{self._backend.name}.selected").inc()
+
+    # ------------------------------------------------------------------
+    # Streaming state
 
     def reset(self) -> None:
-        """Clear the sign-bit history (as a hardware reset would)."""
+        """Clear the sign history and trigger carries (hardware reset)."""
         self._history[:] = 0
+        self._last[:] = False
+
+    def clear_last(self) -> None:
+        """Forget the trigger carries only (used across skipped gaps)."""
+        self._last[:] = False
+
+    @staticmethod
+    def _checked(samples: np.ndarray) -> np.ndarray:
+        samples = np.asarray(samples)
+        if samples.ndim != 1:
+            raise StreamError("CrossCorrelator expects a 1-D sample chunk")
+        return samples
 
     def _assemble_plane(self, samples: np.ndarray) -> np.ndarray:
         """[history | chunk] interleaved sign plane in scratch storage."""
@@ -221,46 +334,42 @@ class CrossCorrelator:
         return plane
 
     def metric(self, samples: np.ndarray) -> np.ndarray:
-        """Squared correlation metric per incoming sample.
+        """Per-bank squared correlation metric, ``(K, n)``.
 
-        Consumes the chunk and updates the history.  ``metric[n]``
+        Consumes the chunk and updates the history.  ``metric[k, n]``
         corresponds to the window *ending* at chunk sample ``n``;
         windows that reach back before the first-ever sample see the
         reset history, which contributes zero to the correlation.
         """
-        samples = np.asarray(samples)
-        if samples.ndim != 1:
-            raise StreamError("CrossCorrelator expects a 1-D sample chunk")
+        samples = self._checked(samples)
         if samples.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        plane = self._assemble_plane(samples)
-        return self._backend.xcorr_metric(plane, self._prepared,
-                                          scratch=self._gemm_scratch)
+            return np.zeros((self.n_banks, 0), dtype=np.int64)
+        return xcorr_metric(self._assemble_plane(samples), self._prepared)
 
     def process(self, samples: np.ndarray) -> np.ndarray:
-        """Boolean trigger per incoming sample (metric > threshold)."""
-        return self.metric(samples) > self._threshold
+        """Per-bank boolean trigger, ``(K, n)``: metric > threshold."""
+        return self.metric(samples) > self._thresholds[:, None]
 
-    def detect(self, samples: np.ndarray, last: bool = False):
-        """The fused datapath: ``(trigger, rising-edge indices)``.
+    def detect(self, samples: np.ndarray
+               ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The fused datapath: ``((K, n) trigger, per-bank edges)``.
 
-        ``last`` carries the final trigger value of the previous chunk
-        so edges are not double-counted across chunk boundaries.  One
-        kernel call yields metric, threshold compare, and edges — the
-        path :class:`repro.hw.dsp_core.CustomDspCore` runs per chunk.
-        A :attr:`silent` correlator skips the kernel: it carries its
+        One kernel call yields metric, threshold compare, and rising
+        edges — the path :class:`repro.hw.dsp_core.CustomDspCore` runs
+        per chunk.  The per-bank trigger carries live here, so edges
+        are not double-counted across chunk boundaries.  A
+        :attr:`silent` correlator skips the kernel: it carries its
         sign history and returns an all-False trigger and no edges.
         """
-        samples = np.asarray(samples)
-        if samples.ndim != 1:
-            raise StreamError("CrossCorrelator expects a 1-D sample chunk")
+        samples = self._checked(samples)
         if samples.size == 0:
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+            return np.zeros((self.n_banks, 0), dtype=bool), self._no_edges
         plane = self._assemble_plane(samples)
-        if self.silent:
-            return (np.zeros(samples.size, dtype=bool),
-                    np.zeros(0, dtype=np.int64))
-        result = xcorr_detect(plane, self._prepared, self._threshold,
-                              last=last, backend=self._backend,
-                              scratch=self._gemm_scratch)
+        if self._silent:
+            self._last[:] = False
+            return (np.zeros((self.n_banks, samples.size), dtype=bool),
+                    self._no_edges)
+        result = xcorr_detect(plane, self._prepared, self._thresholds,
+                              last=self._last)
+        self._last = result.last
         return result.trigger, result.edges

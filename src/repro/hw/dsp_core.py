@@ -30,9 +30,11 @@ from repro.telemetry.tracer import CAT_DETECTOR, CAT_TX, NULL_TRACER, Tracer
 if TYPE_CHECKING:
     from repro.telemetry.profiler import HostProfiler
 from repro.hw.watchdog import Watchdog
-from repro.hw.banked_correlator import DEFAULT_BANK_LABELS, \
-    BankedCrossCorrelator
-from repro.hw.cross_correlator import METRIC_MAX, CrossCorrelator
+from repro.hw.cross_correlator import (
+    DEFAULT_BANK_LABELS,
+    METRIC_MAX,
+    CrossCorrelator,
+)
 from repro.hw.energy_differentiator import EnergyDifferentiator
 from repro.hw.registers import UserRegisterBus, unpack_signed_fields
 from repro.hw.trigger import (
@@ -48,15 +50,18 @@ _XCORR = TriggerSource.XCORR
 _ENERGY_HIGH = TriggerSource.ENERGY_HIGH
 _ENERGY_LOW = TriggerSource.ENERGY_LOW
 
+#: The protocol of the legacy correlator's one bank: none.
+_LEGACY_PROTOCOLS = (None,)
+
 
 @dataclass(frozen=True)
 class DetectionEvent:
     """A rising-edge detection from one of the detector blocks.
 
     ``protocol`` names the correlator bank that fired when the core
-    runs in stacked multi-standard mode (the ``which_protocol``
-    telemetry dimension); it is ``None`` for energy detections and for
-    the legacy single-bank correlator.
+    runs in multi-standard mode (the ``which_protocol`` telemetry
+    dimension); it is ``None`` for energy detections and for the
+    legacy correlator.
     """
 
     time: int
@@ -92,11 +97,14 @@ class CustomDspCore:
         #: Optional in-fabric watchdog (duty guard, re-arm timeout,
         #: safe state).  ``None`` reproduces the unguarded core.
         self.watchdog = watchdog
+        #: The one-bank correlator the paper's legacy coefficient and
+        #: threshold registers program.
         self.correlator = CrossCorrelator()
-        #: The stacked multi-standard bank (K protocols, one GEMM
-        #: pass).  Dormant until ``REG_BANK_COUNT`` selects K >= 1,
-        #: at which point it replaces ``correlator`` on the data path.
-        self.banked = BankedCrossCorrelator()
+        #: The K-bank correlator the bank registers program.  Dormant
+        #: until ``REG_BANK_COUNT`` selects K >= 1, at which point it
+        #: replaces ``correlator`` on the data path.  Each keeps its
+        #: own sign history and carries across a mode switch.
+        self.banked = CrossCorrelator()
         #: Host-side protocol names for the banked correlator; strings
         #: cannot cross the register bus, so the host (driver) sets
         #: them directly before programming the bank count.
@@ -110,7 +118,7 @@ class CustomDspCore:
         self._bank_words_q = [[0] * regmap.COEFF_WORDS
                               for _ in range(regmap.MAX_BANKS)]
         # METRIC_MAX never fires (the trigger needs metric > threshold),
-        # matching the single correlator's quiet power-on default.
+        # matching the legacy correlator's quiet power-on default.
         self._bank_thresholds = np.full(regmap.MAX_BANKS, METRIC_MAX,
                                         dtype=np.int64)
         self._protocol_registry = None
@@ -123,7 +131,6 @@ class CustomDspCore:
         self._tracer: Tracer = NULL_TRACER
         self.profiler: "HostProfiler | None" = None
         self._clock = 0  # absolute index of the next sample to process
-        self._last_xcorr = False
         self._last_ehigh = False
         self._last_elow = False
         self._active_intervals: list[JamInterval] = []
@@ -220,7 +227,7 @@ class CustomDspCore:
                 f"bank count must be 0..{regmap.MAX_BANKS}, got {count}"
             )
         if count == 0:
-            # Back to the legacy single-bank correlator; the shadows
+            # Back to the legacy correlator; the shadows
             # keep their contents for a later re-enable.
             self._bank_count = 0
             return
@@ -353,7 +360,7 @@ class CustomDspCore:
 
     @property
     def bank_count(self) -> int:
-        """Active stacked banks (0 = legacy single-bank correlator)."""
+        """Active banked-correlator banks (0 = legacy correlator)."""
         return self._bank_count
 
     def attach_metrics(self, registry) -> None:
@@ -403,7 +410,6 @@ class CustomDspCore:
         self.fsm.reset()
         self.tx.reset()
         self._clock = 0
-        self._last_xcorr = False
         self._last_ehigh = False
         self._last_elow = False
         self._active_intervals.clear()
@@ -443,34 +449,26 @@ class CustomDspCore:
         if self.watchdog is not None:
             self.watchdog.check_rearm(self.fsm, chunk_start)
 
+        # REG_BANK_COUNT picks the register file whose correlator runs;
+        # the correlator owns its per-bank trigger carries.
+        if self._bank_count:
+            correlator, protocols = self.banked, self.banked.labels
+        else:
+            correlator, protocols = self.correlator, _LEGACY_PROTOCOLS
         profiler = self.profiler
-        banked = self._bank_count >= 1
         if profiler is None:
-            if banked:
-                _trig, banked_edges = self.banked.detect(samples)
-            else:
-                xcorr_trig, xcorr_edges = self.correlator.detect(
-                    samples, self._last_xcorr)
+            _trig, xcorr_edges = correlator.detect(samples)
             ehigh_trig, elow_trig, ehigh_edges, elow_edges = \
                 self.energy.detect(samples, self._last_ehigh,
                                    self._last_elow)
         else:
             with profiler.profile("xcorr"):
-                if banked:
-                    _trig, banked_edges = self.banked.detect(samples)
-                else:
-                    xcorr_trig, xcorr_edges = self.correlator.detect(
-                        samples, self._last_xcorr)
+                _trig, xcorr_edges = correlator.detect(samples)
             with profiler.profile("energy"):
                 ehigh_trig, elow_trig, ehigh_edges, elow_edges = \
                     self.energy.detect(samples, self._last_ehigh,
                                        self._last_elow)
-        if banked:
-            # The stacked facade owns the per-bank trigger carries.
-            xcorr_banks = list(zip(banked_edges, self.banked.labels))
-        else:
-            self._last_xcorr = bool(xcorr_trig[-1])
-            xcorr_banks = [(xcorr_edges, None)]
+        xcorr_banks = list(zip(xcorr_edges, protocols))
         self._last_ehigh = bool(ehigh_trig[-1])
         self._last_elow = bool(elow_trig[-1])
 
@@ -521,9 +519,9 @@ class CustomDspCore:
         if n < 0:
             raise StreamError("cannot skip a negative number of samples")
         self._clock += n
-        self._last_xcorr = False
         self._last_ehigh = False
         self._last_elow = False
+        self.correlator.clear_last()
         self.banked.clear_last()
         self._retire_intervals()
 
@@ -535,7 +533,7 @@ class CustomDspCore:
         """Merge per-bank correlator edges with the energy detector's.
 
         ``xcorr_banks`` is a list of ``(edges, protocol)`` pairs — one
-        entry (protocol ``None``) in legacy mode, K entries in stacked
+        entry (protocol ``None``) in legacy mode, K entries in banked
         mode.  Events sort by time, then source, then bank index, so
         coincident multi-protocol hits come out in bank order.
         """

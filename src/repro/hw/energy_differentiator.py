@@ -23,7 +23,7 @@ import numpy as np
 from repro import units
 from repro.errors import ConfigurationError, StreamError
 from repro.hw.trigger import rising_edges
-from repro.kernels import get_backend
+from repro.kernels import moving_sums
 from repro.runtime.buffers import ScratchBuffer
 
 #: Moving-sum window length in samples (paper's implementation).
@@ -46,13 +46,11 @@ class EnergyDifferentiator:
     def __init__(self, threshold_high_db: float = 10.0,
                  threshold_low_db: float = 10.0,
                  window: int = DEFAULT_WINDOW,
-                 delay: int = DEFAULT_DELAY,
-                 backend: str | None = None) -> None:
+                 delay: int = DEFAULT_DELAY) -> None:
         if window < 1:
             raise ConfigurationError("window must be >= 1")
         if delay < 1:
             raise ConfigurationError("delay must be >= 1")
-        self._backend = get_backend(backend)
         self._window = window
         self._delay = delay
         self.threshold_high_db = threshold_high_db
@@ -61,25 +59,18 @@ class EnergyDifferentiator:
         # the last `delay` sums (for the comparison delay line).
         self._energy_tail = np.zeros(window, dtype=np.float64)
         self._sum_tail = np.zeros(delay, dtype=np.float64)
-        # Reusable [tail | chunk] assembly buffers: padding and cumsum
-        # happen in scratch storage instead of fresh per-chunk arrays.
+        # Reusable [tail | chunk] assembly buffers: padding and the
+        # delay line live in scratch storage instead of fresh arrays.
         self._pad_scratch = ScratchBuffer(np.float64)
-        self._csum_scratch = ScratchBuffer(np.float64)
         self._delay_scratch = ScratchBuffer(np.float64)
         self._metric_chunks = None
         self._metric_samples = None
 
-    @property
-    def backend(self) -> str:
-        """Name of the kernel backend this instance dispatches to."""
-        return self._backend.name
-
     def attach_metrics(self, registry) -> None:
         """Fold per-chunk throughput counters into a metrics registry.
 
-        Exposes ``kernels.energy.chunks`` / ``kernels.energy.samples``
-        and bumps ``kernels.backend.<name>.selected`` once.  Pass
-        ``None`` to detach.
+        Exposes ``kernels.energy.chunks`` / ``kernels.energy.samples``.
+        Pass ``None`` to detach.
         """
         if registry is None:
             self._metric_chunks = None
@@ -87,8 +78,6 @@ class EnergyDifferentiator:
             return
         self._metric_chunks = registry.counter("kernels.energy.chunks")
         self._metric_samples = registry.counter("kernels.energy.samples")
-        registry.counter(
-            f"kernels.backend.{self._backend.name}.selected").inc()
 
     @staticmethod
     def _check_threshold(value_db: float) -> float:  # repro-lint: disable=RJ003 (host-side dB validation, not datapath)
@@ -155,8 +144,7 @@ class EnergyDifferentiator:
         energy = padded[self._window:]
         np.abs(samples, out=energy)
         np.square(energy, out=energy)
-        sums = self._backend.moving_sums(padded, self._window, out=out,
-                                         csum_scratch=self._csum_scratch)
+        sums = moving_sums(padded, self._window, out=out)
         # New tail = last `window` entries of [tail | energy]; the
         # scratch is distinct storage, so this holds for any chunk size.
         self._energy_tail[:] = padded[n:]

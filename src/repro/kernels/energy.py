@@ -24,17 +24,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import StreamError
-from repro.kernels.dispatch import KernelBackend, get_backend
 from repro.kernels.xcorr import chained_edges
+from repro.runtime.buffers import ScratchBuffer
+
+#: Grow-only cumulative-sum storage shared by every caller.
+_CSUM = ScratchBuffer(np.float64)
 
 
 def moving_sums(padded: np.ndarray, window: int,
-                backend: "str | KernelBackend | None" = None,
-                out: np.ndarray | None = None,
-                csum_scratch=None) -> np.ndarray:
-    """Moving sums over ``[tail | energies]`` rows (backend dispatch)."""
-    return get_backend(backend).moving_sums(padded, window, out=out,
-                                            csum_scratch=csum_scratch)
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Length-``window`` moving sums over ``(..., window + n)`` rows.
+
+    Each row is ``[tail | energies]`` float64; returns ``(..., n)``
+    float64 as the sequential cumulative-sum difference, so streaming
+    and batched shapes give bit-identical sums.
+    """
+    padded = np.asarray(padded, dtype=np.float64)
+    lead = padded.shape[:-1]
+    length = padded.shape[-1]
+    n = length - window
+    rows = int(np.prod(lead, dtype=np.int64)) if lead else 1
+    csum = _CSUM.view(rows * length).reshape(rows, length)
+    np.cumsum(padded.reshape(rows, length), axis=-1, out=csum)
+    if out is None:
+        out = np.empty(lead + (n,), dtype=np.float64)
+    np.subtract(csum[:, window:], csum[:, :-window],
+                out=out.reshape(rows, n))
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,8 +99,7 @@ def energy_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
                         threshold_high: float, threshold_low: float,
                         energy_tail: np.ndarray | None = None,
                         sum_tail: np.ndarray | None = None,
-                        last_high: bool = False, last_low: bool = False,
-                        backend: "str | KernelBackend | None" = None
+                        last_high: bool = False, last_low: bool = False
                         ) -> EnergyBatchResult:
     """Run a batch of chained sample rows through the energy detector.
 
@@ -113,7 +128,7 @@ def energy_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
         energy_tail = np.zeros(window, dtype=np.float64)
     _stitch_tails(padded, lengths, energy_tail, window)
 
-    sums = moving_sums(padded, window, backend=backend)
+    sums = moving_sums(padded, window)
 
     delayed_full = np.empty((batch, delay + width), dtype=np.float64)
     delayed_full[:, delay:] = sums

@@ -1,10 +1,10 @@
-"""The whole-program rules: RJ010-RJ013, firing and non-firing.
+"""The whole-program rules: RJ010-RJ012, firing and non-firing.
 
 Each rule gets both directions — the seeded violation it must catch
-and the nearby legitimate idiom it must stay silent on — plus the
-regression corpus from the issue: a float injected into the xcorr
-path across a call boundary, an unseeded RNG in a sweep helper, an
-unpaired telemetry span, and a numpy-only kernel op.
+and the nearby legitimate idiom it must stay silent on — plus a
+regression corpus: a float injected into the xcorr path across a call
+boundary, an unseeded RNG in a sweep helper, and an unpaired telemetry
+span.
 """
 
 from __future__ import annotations
@@ -348,110 +348,3 @@ class TestSpanPairingRJ012:
             ),
         }, "RJ012")
         assert findings == []
-
-
-class TestBackendParityRJ013:
-    DISPATCH = FUT + (
-        "class KernelBackend:\n"
-        "    name = 'base'\n"
-    )
-
-    def _backends(self, numba_body: str) -> dict[str, str]:
-        return {
-            "src/repro/kernels/dispatchx.py": self.DISPATCH,
-            "src/repro/kernels/np_b.py": FUT + (
-                "from repro.kernels.dispatchx import KernelBackend\n"
-                "class NumpyB(KernelBackend):\n"
-                "    name = 'numpy'\n"
-                "    def xcorr(self, plane, coeffs, out=None):\n"
-                "        return plane\n"
-                "    def moving_sums(self, padded, window):\n"
-                "        return padded\n"
-            ),
-            "src/repro/kernels/nb_b.py": FUT + (
-                "from repro.kernels.dispatchx import KernelBackend\n"
-                "class NumbaB(KernelBackend):\n"
-                "    name = 'numba'\n"
-            ) + numba_body,
-        }
-
-    def test_missing_op_is_flagged(self):
-        # The issue's regression seed: a numpy-only kernel op.
-        findings = _run(self._backends(
-            "    def xcorr(self, plane, coeffs, out=None):\n"
-            "        return plane\n"
-        ), "RJ013")
-        assert len(findings) == 1
-        assert findings[0].path == "src/repro/kernels/nb_b.py"
-        assert "moving_sums" in findings[0].message
-
-    def test_signature_mismatch_is_flagged(self):
-        findings = _run(self._backends(
-            "    def xcorr(self, plane, coeffs):\n"
-            "        return plane\n"
-            "    def moving_sums(self, padded, window):\n"
-            "        return padded\n"
-        ), "RJ013")
-        assert len(findings) == 1
-        assert "xcorr" in findings[0].message
-
-    def test_matching_backends_are_silent(self):
-        findings = _run(self._backends(
-            "    def xcorr(self, plane, coeffs, out=None):\n"
-            "        return plane\n"
-            "    def moving_sums(self, padded, window):\n"
-            "        return padded\n"
-        ), "RJ013")
-        assert findings == []
-
-    def test_surplus_backend_only_op_is_a_warning(self):
-        findings = _run(self._backends(
-            "    def xcorr(self, plane, coeffs, out=None):\n"
-            "        return plane\n"
-            "    def moving_sums(self, padded, window):\n"
-            "        return padded\n"
-            "    def warmup(self):\n"
-            "        pass\n"
-        ), "RJ013")
-        assert [f.severity.value for f in findings] == ["warning"]
-        assert "warmup" in findings[0].message
-
-    def test_private_and_dunder_methods_ignored(self):
-        findings = _run(self._backends(
-            "    def __init__(self):\n"
-            "        pass\n"
-            "    def _jit(self):\n"
-            "        pass\n"
-            "    def xcorr(self, plane, coeffs, out=None):\n"
-            "        return plane\n"
-            "    def moving_sums(self, padded, window):\n"
-            "        return padded\n"
-        ), "RJ013")
-        assert findings == []
-
-    def test_suppression_exempts_a_backend(self):
-        files = self._backends(
-            "    def xcorr(self, plane, coeffs, out=None):\n"
-            "        return plane\n"
-        )
-        files["src/repro/kernels/nb_b.py"] = files[
-            "src/repro/kernels/nb_b.py"].replace(
-            "class NumbaB(KernelBackend):",
-            "class NumbaB(KernelBackend):  # repro-lint: disable=RJ013")
-        assert _run(files, "RJ013") == []
-
-
-class TestRealRepoDogfood:
-    def test_real_kernel_backends_have_parity(self):
-        # The actual numpy/numba backends must satisfy RJ013 — the
-        # rule exists because this file pair drifted once.
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[2] / "src" / "repro"
-        files = {
-            f"src/repro/kernels/{name}":
-                (root / "kernels" / name).read_text()
-            for name in ("dispatch.py", "numpy_backend.py",
-                         "numba_backend.py")
-        }
-        assert _run(files, "RJ013") == []

@@ -108,7 +108,7 @@ class TestReporters:
 class TestRuleSelection:
     def test_all_rules_have_unique_codes(self):
         codes = [rule.code for rule in ALL_RULES]
-        assert len(set(codes)) == len(codes) == 14
+        assert len(set(codes)) == len(codes) == 13
         assert codes == sorted(codes)
 
     def test_select_narrows(self):

@@ -134,7 +134,7 @@ class TestCliBasics:
         result = _cli(["--list-rules"], cwd=REPO_ROOT)
         assert result.returncode == 0
         for code in ("RJ001", "RJ002", "RJ003", "RJ004", "RJ005",
-                     "RJ010", "RJ011", "RJ012", "RJ013"):
+                     "RJ010", "RJ011", "RJ012"):
             assert code in result.stdout
 
     def test_missing_path_is_usage_error(self):

@@ -7,7 +7,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.coeffs import wifi_short_preamble_template
+from repro import units
+from repro.core.coeffs import (
+    dsss_preamble_template,
+    wifi_short_preamble_template,
+)
+from repro.core.detection import DetectionConfig, ProtocolBank
+from repro.core.events import JammingEventBuilder
+from repro.core.jammer import ReactiveJammer
+from repro.core.presets import reactive_jammer
 from repro.core.profiles import (
     apply_profile,
     load_profile,
@@ -19,6 +27,7 @@ from repro.hw.trigger import TriggerMode, TriggerSource
 from repro.hw.tx_controller import JamWaveform
 from repro.hw.uhd import UhdDriver
 from repro.hw.usrp import UsrpN210
+from repro.phy.wifi.params import WIFI_SAMPLE_RATE
 
 
 @pytest.fixture
@@ -76,6 +85,65 @@ class TestSnapshotRestore:
     def test_profile_is_json_serializable(self, configured_device):
         profile = snapshot_profile(configured_device)
         json.dumps(profile)  # must not raise
+
+
+def _banked_jammer() -> ReactiveJammer:
+    jammer = ReactiveJammer()
+    jammer.configure(
+        DetectionConfig(banks=(
+            ProtocolBank("wifi", wifi_short_preamble_template(), 12_000),
+            ProtocolBank("dsss", dsss_preamble_template(), 13_000),
+        )),
+        JammingEventBuilder().on_correlation(),
+        reactive_jammer(1e-5))
+    return jammer
+
+
+class TestBankRoundTrip:
+    def test_banks_restore_onto_a_fresh_device(self, rng):
+        from repro.channel.awgn import awgn
+        from repro.dsp.resample import resample
+        from repro.phy.wifi.preamble import short_preamble
+
+        device = _banked_jammer().device
+        profile = snapshot_profile(device)
+        banks = profile["detection"]["banks"]
+        assert [b["label"] for b in banks] == ["wifi", "dsss"]
+        assert [b["threshold"] for b in banks] == [12_000, 13_000]
+        json.dumps(profile)
+
+        fresh = UsrpN210()
+        apply_profile(fresh, profile)
+        assert fresh.core.bank_count == 2
+        assert snapshot_profile(fresh) == profile
+
+        stf = resample(short_preamble(), WIFI_SAMPLE_RATE,
+                       units.BASEBAND_RATE)
+        rx = awgn(3000, 1e-6, rng)
+        rx[500:500 + stf.size] += 0.3 * stf
+        events = [[(d.time, d.source, d.protocol) for d in dev.run(rx)
+                   .detections] for dev in (device, fresh)]
+        assert events[0] == events[1]
+        assert ("wifi" in {protocol for _t, _s, protocol in events[0]})
+
+    def test_legacy_profile_disarms_a_banked_device(self,
+                                                    configured_device):
+        profile = snapshot_profile(configured_device)
+        assert profile["detection"]["banks"] == []
+        device = _banked_jammer().device
+        assert device.core.bank_count == 2
+        apply_profile(device, profile)
+        assert device.core.bank_count == 0
+        assert snapshot_profile(device)["detection"] == \
+            profile["detection"]
+
+    def test_profile_without_bank_entries_means_legacy(self,
+                                                       configured_device):
+        profile = snapshot_profile(configured_device)
+        del profile["detection"]["banks"]
+        device = _banked_jammer().device
+        apply_profile(device, profile)
+        assert device.core.bank_count == 0
 
 
 class TestFiles:

@@ -103,7 +103,7 @@ class TestBatchedTrialIdentity:
         last = False
         while remaining > 0:
             n = min(1 << 16, remaining)
-            trig = corr.process(awgn(n, 1.0, stream_rng))
+            (trig,) = corr.process(awgn(n, 1.0, stream_rng))
             triggers += rising_edges(trig, last).size
             last = bool(trig[-1])
             remaining -= n

@@ -1,6 +1,6 @@
-"""The stacked multi-standard bank: facade, register bus, driver.
+"""The multi-standard K-bank correlator: facade, register bus, driver.
 
-Covers the :class:`repro.hw.BankedCrossCorrelator` facade contract,
+Covers the K-bank :class:`repro.hw.CrossCorrelator` facade contract,
 the banked register-bus control plane (``REG_BANK_COUNT`` mode switch,
 windowed coefficient writes, direct-mapped thresholds), hot-swapping a
 bank mid-stream, the ``which_protocol`` telemetry dimension, and the
@@ -19,8 +19,9 @@ from repro.core.detection import DetectionConfig, ProtocolBank
 from repro.core.events import JammingEventBuilder
 from repro.core.jammer import ReactiveJammer
 from repro.core.presets import reactive_jammer
+from repro.dsp.fixed_point import quantize_iq16
 from repro.errors import ConfigurationError, StreamError
-from repro.hw import BankedCrossCorrelator, register_map as regmap
+from repro.hw import register_map as regmap
 from repro.hw.cross_correlator import (
     METRIC_MAX,
     CrossCorrelator,
@@ -30,6 +31,7 @@ from repro.hw.trigger import TriggerSource
 from repro.hw.uhd import UhdDriver
 from repro.hw.usrp import UsrpN210
 from repro.telemetry.metrics import MetricsRegistry
+from tests.kernels.test_xcorr_kernels import _reference_metric
 
 
 def _random_bank(rng):
@@ -47,19 +49,8 @@ def template_b(rng2):
 
 
 class TestFacadeValidation:
-    def test_unconfigured_facade_refuses_the_datapath(self):
-        banked = BankedCrossCorrelator()
-        assert banked.n_banks == 0
-        assert banked.prepared_coefficients is None
-        with pytest.raises(ConfigurationError):
-            banked.detect(np.zeros(8, dtype=complex))
-        with pytest.raises(ConfigurationError):
-            banked.metric(np.zeros(8, dtype=complex))
-        with pytest.raises(ConfigurationError):
-            banked.set_threshold(0, 100)
-
     def test_bank_count_bounds(self, rng):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         with pytest.raises(ConfigurationError):
             banked.load_banks([], [])
         too_many = [_random_bank(rng) for _ in range(regmap.MAX_BANKS + 1)]
@@ -68,14 +59,14 @@ class TestFacadeValidation:
                               np.zeros(regmap.MAX_BANKS + 1))
 
     def test_bad_banks_rejected(self, rng):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         with pytest.raises(ConfigurationError):
             banked.load_banks([(np.zeros(32), np.zeros(32))], [100])
         with pytest.raises(ConfigurationError):
             banked.load_banks([(np.full(64, 5), np.zeros(64))], [100])
 
     def test_threshold_validation(self, rng):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banks = [_random_bank(rng)]
         with pytest.raises(ConfigurationError):
             banked.load_banks(banks, [1, 2])  # count mismatch
@@ -90,7 +81,7 @@ class TestFacadeValidation:
         assert banked.thresholds[0] == 0xFFFF_FFFF
 
     def test_labels_default_and_rename(self, rng):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banked.load_banks([_random_bank(rng), _random_bank(rng)],
                           [10, 20])
         assert banked.labels == ("bank0", "bank1")
@@ -102,7 +93,7 @@ class TestFacadeValidation:
         assert banked.labels == ("wifi",)
 
     def test_rejects_multidimensional_chunks(self, rng):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banked.load_banks([_random_bank(rng)], [0])
         with pytest.raises(StreamError):
             banked.detect(np.zeros((2, 8), dtype=complex))
@@ -118,18 +109,18 @@ class TestFacadeStreaming:
         rx[500:564] += template_a
         rx[1800:1864] += template_b
 
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banked.load_banks(banks, thresholds, labels=["a", "b"])
         singles = [CrossCorrelator(ci, cq, threshold=thr)
                    for (ci, cq), thr in zip(banks, thresholds)]
         _trigger, edges = banked.detect(rx)
         for k, single in enumerate(singles):
-            _t, single_edges = single.detect(rx)
+            _t, (single_edges,) = single.detect(rx)
             np.testing.assert_array_equal(edges[k], single_edges)
         assert edges[0].size == 1 and edges[1].size == 1
 
     def test_load_banks_clears_carries_but_keeps_history(self, rng):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banks = [_random_bank(rng)]
         banked.load_banks(banks, [0])  # threshold 0: fires everywhere
         _t, edges = banked.detect(rng.normal(size=50)
@@ -148,7 +139,7 @@ class TestFacadeStreaming:
 
     def test_reset_and_clear_last(self, rng):
         banks = [_random_bank(rng)]
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banked.load_banks(banks, [0])
         samples = rng.normal(size=40) + 1j * rng.normal(size=40)
         banked.detect(samples)
@@ -156,23 +147,23 @@ class TestFacadeStreaming:
         _t, edges = banked.detect(samples)
         assert 0 in edges[0]  # carry forgotten
         banked.reset()
-        fresh = BankedCrossCorrelator()
+        fresh = CrossCorrelator()
         fresh.load_banks(banks, [0])
         np.testing.assert_array_equal(banked.metric(samples),
                                       fresh.metric(samples))
 
     def test_attach_metrics_counts_chunks_and_samples(self, rng):
         registry = MetricsRegistry()
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banked.load_banks([_random_bank(rng)], [1000])
         banked.attach_metrics(registry)
         banked.detect(rng.normal(size=100) + 0j)
         banked.metric(rng.normal(size=50) + 0j)
-        assert registry.counter("kernels.xcorr_stacked.chunks").value == 2
-        assert registry.counter("kernels.xcorr_stacked.samples").value == 150
+        assert registry.counter("kernels.xcorr.chunks").value == 2
+        assert registry.counter("kernels.xcorr.samples").value == 150
         banked.attach_metrics(None)
         banked.detect(rng.normal(size=10) + 0j)
-        assert registry.counter("kernels.xcorr_stacked.chunks").value == 2
+        assert registry.counter("kernels.xcorr.chunks").value == 2
 
 
 @pytest.fixture
@@ -274,6 +265,100 @@ class TestBankedCoreMode:
         assert device.core.bank_count == 2  # unchanged by the rejects
 
 
+def _reference_edges(pieces, coeffs, threshold, clear_at):
+    """Absolute rising edges of one correlator fed ``pieces`` in order.
+
+    ``pieces`` are ``(absolute start, samples)``.  The sign history
+    runs on across every piece; the trigger carry clears before each
+    piece index in ``clear_at``.
+    """
+    samples = np.concatenate([piece for _start, piece in pieces])
+    trigger = _reference_metric(samples, *coeffs) > threshold
+    edges = []
+    position = 0
+    last = False
+    for index, (start, piece) in enumerate(pieces):
+        chunk = trigger[position:position + piece.size]
+        if index in clear_at:
+            last = False
+        previous = np.concatenate([[last], chunk[:-1]])
+        edges += (start + np.flatnonzero(chunk & ~previous)).tolist()
+        last = bool(chunk[-1])
+        position += piece.size
+    return edges
+
+
+class TestModeSwitchStreaming:
+    """``REG_BANK_COUNT`` switches 0 -> 2 -> 0 between chunks.
+
+    Each register file keeps its own correlator: the legacy one sees
+    only the chunks processed at count 0 and the banked one only those
+    processed at count 2, each with its sign history running on across
+    the other's chunks.  Every count write clears the bank carries; the
+    legacy carry survives the switch.
+    """
+
+    CHUNK = 1000
+    #: Bank count selected for each chunk.
+    PLAN = (0, 0, 2, 2, 0, 2, 0, 0, 2)
+
+    @pytest.mark.parametrize("legacy_threshold", [30_000, 0])
+    def test_events_match_one_reference_per_register_file(
+            self, rng, template_a, template_b, legacy_threshold):
+        legacy = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
+        device = UsrpN210()
+        driver = UhdDriver(device)
+        driver.set_correlator_template(legacy)
+        driver.set_xcorr_threshold(legacy_threshold)
+        # Bank 1 fires on every sample, so its carry shows at every
+        # chunk and segment edge.
+        thresholds = (30_000, 0)
+        driver.set_correlator_banks([template_a, template_b], thresholds,
+                                    labels=["a", "b"])
+        driver.set_bank_count(0)
+
+        rx = awgn(self.CHUNK * len(self.PLAN), 1e-6, rng)
+        # A preamble straddles every chunk edge by a different amount:
+        # the one the next chunk's register file looks for.
+        for index in range(1, len(self.PLAN)):
+            start = index * self.CHUNK - 10 - 6 * index
+            template = template_a if self.PLAN[index] else legacy
+            rx[start:start + 64] += template
+        rx = quantize_iq16(rx)
+
+        events = []
+        pieces = {0: [], 2: []}
+        bank_clears = []
+        count = 0
+        for index, mode in enumerate(self.PLAN):
+            if mode != count:
+                driver.set_bank_count(mode)
+                count = mode
+                if mode:
+                    bank_clears.append(len(pieces[2]))
+            start = index * self.CHUNK
+            chunk = rx[start:start + self.CHUNK]
+            pieces[mode].append((start, chunk))
+            out = device.core.process(chunk, quantized=True)
+            events += [(d.time, d.protocol) for d in out.detections
+                       if d.source is TriggerSource.XCORR]
+
+        expected = [(t, None) for t in _reference_edges(
+            pieces[0], quantize_coefficients(legacy), legacy_threshold,
+            clear_at=())]
+        for label, template, threshold in zip(
+                ("a", "b"), (template_a, template_b), thresholds):
+            expected += [(t, label) for t in _reference_edges(
+                pieces[2], quantize_coefficients(template), threshold,
+                clear_at=set(bank_clears))]
+        order = {None: 0, "a": 1, "b": 2}
+        expected.sort(key=lambda event: (event[0], order[event[1]]))
+        assert events == expected
+        # The planted preambles fire in both register files.
+        assert any(p is None for _t, p in events)
+        assert any(p == "a" for _t, p in events)
+
+
 class TestWhichProtocolTelemetry:
     def test_per_protocol_counters(self, rng, banked_rig, template_a,
                                    template_b):
@@ -291,7 +376,7 @@ class TestWhichProtocolTelemetry:
         assert registry.counter(
             "detect.which_protocol.zigbee").value == 2
         assert registry.counter(
-            "kernels.xcorr_stacked.chunks").value >= 1
+            "kernels.xcorr.chunks").value >= 1
 
 
 class TestConfigureAtomicity:

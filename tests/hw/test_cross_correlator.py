@@ -70,7 +70,7 @@ class TestCrossCorrelator:
         ci, cq = quantize_coefficients(template)
         corr = CrossCorrelator(ci, cq)
         signal = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-        fast = corr.metric(signal)
+        (fast,) = corr.metric(signal)
         slow = reference_metric(signal, ci, cq)
         assert np.array_equal(fast, slow)
 
@@ -80,14 +80,14 @@ class TestCrossCorrelator:
         whole = CrossCorrelator(ci, cq).metric(signal)
         chunked = CrossCorrelator(ci, cq)
         parts = [chunked.metric(signal[i:i + 61]) for i in range(0, 500, 61)]
-        assert np.array_equal(np.concatenate(parts), whole)
+        assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
     def test_peak_at_template_end(self, rng, template):
         ci, cq = quantize_coefficients(template)
         corr = CrossCorrelator(ci, cq)
         signal = 0.001 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
         signal[100:164] += template
-        metric = corr.metric(signal)
+        (metric,) = corr.metric(signal)
         assert int(np.argmax(metric)) == 163
 
     def test_detection_latency_is_64_samples(self, rng, template):
@@ -97,7 +97,7 @@ class TestCrossCorrelator:
         corr = CrossCorrelator(ci, cq, threshold=30_000)
         signal = 0.001 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
         signal[100:164] += template
-        trig = corr.process(signal)
+        (trig,) = corr.process(signal)
         first = int(np.flatnonzero(trig)[0])
         assert first == 100 + CORRELATOR_LENGTH - 1
 

@@ -1,8 +1,8 @@
 """The silent-correlator skip and the per-chunk detection merge.
 
-A correlator whose threshold is at least its bank's metric ceiling
-cannot fire, so :meth:`CrossCorrelator.detect` skips the GEMM and only
-shifts the sign history.  These tests switch a core between silent and
+A correlator each of whose thresholds is at least its bank's metric
+ceiling cannot fire, so :meth:`CrossCorrelator.detect` skips the GEMM
+and only shifts the sign history.  These tests switch a core between silent and
 live over the register bus mid-stream and compare it, chunk by chunk,
 with a reference correlator that always evaluates the metric.  They
 also pin the (time, source, bank) order of the detection merge.
@@ -20,13 +20,12 @@ from repro.hw import register_map as regmap
 from repro.hw.cross_correlator import (
     METRIC_MAX,
     CrossCorrelator,
-    metric_ceiling,
     quantize_coefficients,
 )
 from repro.hw.dsp_core import CustomDspCore
 from repro.hw.registers import pack_signed_fields
 from repro.hw.trigger import TriggerSource
-from repro.kernels import rising_edge_plane
+from repro.kernels import metric_ceiling, rising_edge_plane
 from repro.telemetry.metrics import MetricsRegistry
 
 _TEMPLATE = np.exp(1j * np.random.default_rng(7).uniform(0, 2 * np.pi, 64))
@@ -98,9 +97,49 @@ class TestSilentRule:
             raise AssertionError("the GEMM ran for a silent correlator")
 
         monkeypatch.setattr(module, "xcorr_detect", fail)
-        trigger, edges = CrossCorrelator(*_COEFFS).detect(_stream(500))
-        assert trigger.shape == (500,) and not trigger.any()
+        trigger, (edges,) = CrossCorrelator(*_COEFFS).detect(_stream(500))
+        assert trigger.shape == (1, 500) and not trigger.any()
         assert edges.size == 0
+
+    def test_one_live_bank_keeps_the_kernel_running(self, monkeypatch):
+        import repro.hw.cross_correlator as module
+
+        calls = []
+        kernel = module.xcorr_detect
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, "xcorr_detect", counting)
+        correlator = CrossCorrelator()
+        correlator.load_banks([_COEFFS, _COEFFS],
+                              [METRIC_MAX, _LIVE_THRESHOLD])
+        assert not correlator.silent
+        rx = _stream(1000)
+        trigger, (silent_edges, live_edges) = correlator.detect(rx)
+        assert calls == [1]
+        assert not trigger[0].any() and silent_edges.size == 0
+        # The live bank fires on the planted template, as it does alone.
+        alone = CrossCorrelator(*_COEFFS, threshold=_LIVE_THRESHOLD)
+        (alone_trigger,), (alone_edges,) = alone.detect(rx)
+        assert live_edges.tolist() == [300 + 63]
+        np.testing.assert_array_equal(trigger[1], alone_trigger)
+        np.testing.assert_array_equal(live_edges, alone_edges)
+
+        # Both banks silent: no kernel call, yet the history advances.
+        correlator.set_threshold(1, METRIC_MAX)
+        assert correlator.silent
+        reference = CrossCorrelator(*_COEFFS)
+        reference.metric(rx)
+        tail = _stream(1700)[1000:]
+        ran = len(calls)
+        trigger, edges = correlator.detect(tail)
+        reference.metric(tail)
+        assert len(calls) == ran
+        assert trigger.shape == (2, 700) and not trigger.any()
+        assert all(e.size == 0 for e in edges)
+        assert correlator._history.tobytes() == reference._history.tobytes()
 
 
 @given(st.lists(st.tuples(st.integers(1, 700), st.integers(0, 3)),
@@ -116,9 +155,9 @@ def test_switching_matches_an_always_gemm_reference(plan):
     triggers = []
     detect = core.correlator.detect
 
-    def recording(samples, last=False):
-        trigger, edges = detect(samples, last)
-        triggers.append(trigger.copy())
+    def recording(samples):
+        trigger, edges = detect(samples)
+        triggers.append(trigger[0].copy())
         return trigger, edges
 
     core.correlator.detect = recording
@@ -136,7 +175,7 @@ def test_switching_matches_an_always_gemm_reference(plan):
 
         chunk = rx[start:start + length]
         out = core.process(chunk, quantized=True)
-        expected = reference.metric(chunk) > threshold
+        expected = reference.metric(chunk)[0] > threshold
         expected_edges = np.flatnonzero(rising_edge_plane(expected, last))
         last = bool(expected[-1])
 

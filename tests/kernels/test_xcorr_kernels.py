@@ -1,15 +1,17 @@
-"""Correctness of the fused sign-bit correlation kernels.
+"""Correctness of the fused sign-bit correlation kernels, one bank.
 
 The ground truth throughout is the seed model's four-pass
-``np.correlate`` evaluation over the sign-sliced stream; the fused and
-batched kernels must reproduce it byte-for-byte, for any chunking of
-the same stream.
+``np.correlate`` evaluation over the sign-sliced stream (and an int64
+brute force straight off Fig. 3); the fused and batched kernels must
+reproduce it byte-for-byte, for any chunking of the same stream.  The
+one-bank case is the K=1 case of the one K-bank kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, StreamError
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
@@ -47,6 +49,27 @@ def _reference_metric(samples, ci, cq, history=None):
     return corr_re * corr_re + corr_im * corr_im
 
 
+def _brute_metric(plane, ci, cq):
+    """Int64 brute force straight off the Fig. 3 datapath."""
+    taps = ci.size
+    sign_i = plane[0::2].astype(np.int64)
+    sign_q = plane[1::2].astype(np.int64)
+    n = sign_i.size - (taps - 1)
+    out = np.empty(n, dtype=np.int64)
+    for t in range(n):
+        wi = sign_i[t:t + taps]
+        wq = sign_q[t:t + taps]
+        corr_re = int(np.dot(ci, wi) + np.dot(cq, wq))
+        corr_im = int(np.dot(ci, wq) - np.dot(cq, wi))
+        out[t] = corr_re * corr_re + corr_im * corr_im
+    return out
+
+
+def _prepare(ci, cq):
+    """The one-bank operand: the K=1 case of the K-bank kernel."""
+    return prepare_coefficients([(ci, cq)])
+
+
 def _plane_with_history(samples, pairs, history=None):
     plane = np.empty(2 * (pairs + samples.size), dtype=np.int8)
     plane[:2 * pairs] = 0 if history is None else history
@@ -56,7 +79,7 @@ def _plane_with_history(samples, pairs, history=None):
 
 class TestPrepareCoefficients:
     def test_stacked_layout(self):
-        prepared = prepare_coefficients([1, -2], [3, 0])
+        prepared = _prepare([1, -2], [3, 0])
         np.testing.assert_array_equal(
             prepared.stacked,
             [[1, -3], [3, 1], [-2, 0], [0, -2]])
@@ -65,26 +88,26 @@ class TestPrepareCoefficients:
 
     def test_three_bit_bank_runs_in_float32(self):
         rng = np.random.default_rng(0)
-        prepared = prepare_coefficients(*_random_bank(rng))
+        prepared = _prepare(*_random_bank(rng))
         assert prepared.gemm_dtype == np.float32
 
     def test_wide_bank_falls_back_to_float64(self):
         ci = np.full(64, 1 << 10)
-        prepared = prepare_coefficients(ci, ci)
+        prepared = _prepare(ci, ci)
         assert prepared.gemm_dtype == np.float64
 
     def test_rejects_mismatched_banks(self):
         with pytest.raises(ConfigurationError):
-            prepare_coefficients([1, 2], [1, 2, 3])
+            _prepare([1, 2], [1, 2, 3])
 
     def test_rejects_empty_banks(self):
         with pytest.raises(ConfigurationError):
-            prepare_coefficients([], [])
+            _prepare([], [])
 
     def test_matrices_are_frozen(self):
-        prepared = prepare_coefficients([1, 2], [3, 4])
+        prepared = _prepare([1, 2], [3, 4])
         with pytest.raises(ValueError):
-            prepared.a_matrix[0, 0] = 9.0
+            prepared.band[0, 0] = 9.0
 
 
 class TestSignPlane:
@@ -104,16 +127,16 @@ class TestXcorrMetric:
     def test_matches_reference(self, n):
         rng = np.random.default_rng(n)
         ci, cq = _random_bank(rng)
-        prepared = prepare_coefficients(ci, cq)
+        prepared = _prepare(ci, cq)
         samples = rng.normal(size=n) + 1j * rng.normal(size=n)
         plane = _plane_with_history(samples, prepared.history_pairs)
         np.testing.assert_array_equal(
-            xcorr_metric(plane, prepared),
+            xcorr_metric(plane, prepared)[0],
             _reference_metric(samples, ci, cq))
 
     def test_metric_dtype_is_int64(self):
         rng = np.random.default_rng(1)
-        prepared = prepare_coefficients(*_random_bank(rng))
+        prepared = _prepare(*_random_bank(rng))
         samples = rng.normal(size=100) + 1j * rng.normal(size=100)
         plane = _plane_with_history(samples, prepared.history_pairs)
         assert xcorr_metric(plane, prepared).dtype == np.int64
@@ -122,11 +145,11 @@ class TestXcorrMetric:
         """Any chunking of the same stream yields the same metrics."""
         rng = np.random.default_rng(2)
         ci, cq = _random_bank(rng)
-        prepared = prepare_coefficients(ci, cq)
+        prepared = _prepare(ci, cq)
         pairs = prepared.history_pairs
         stream = rng.normal(size=1000) + 1j * rng.normal(size=1000)
         whole = xcorr_metric(
-            _plane_with_history(stream, pairs), prepared)
+            _plane_with_history(stream, pairs), prepared)[0]
         for sizes in ([1000], [1, 999], [63, 64, 873], [100] * 10):
             history = np.zeros(2 * pairs, dtype=np.int8)
             got = []
@@ -134,7 +157,7 @@ class TestXcorrMetric:
             for size in sizes:
                 chunk = stream[start:start + size]
                 plane = _plane_with_history(chunk, pairs, history)
-                got.append(xcorr_metric(plane, prepared))
+                got.append(xcorr_metric(plane, prepared)[0])
                 history = plane[2 * chunk.size:].copy()
                 start += size
             np.testing.assert_array_equal(np.concatenate(got), whole)
@@ -145,7 +168,7 @@ class TestXcorrMetric:
         correlator = CrossCorrelator(ci, cq, threshold=1000)
         samples = rng.normal(size=300) + 1j * rng.normal(size=300)
         np.testing.assert_array_equal(
-            correlator.metric(samples),
+            correlator.metric(samples)[0],
             _reference_metric(samples, ci, cq))
 
     def test_paper_bank_matches_reference(self):
@@ -153,11 +176,11 @@ class TestXcorrMetric:
 
         rng = np.random.default_rng(4)
         ci, cq = quantize_coefficients(wifi_long_preamble_template())
-        prepared = prepare_coefficients(ci, cq)
+        prepared = _prepare(ci, cq)
         samples = rng.normal(size=2048) + 1j * rng.normal(size=2048)
         plane = _plane_with_history(samples, prepared.history_pairs)
         np.testing.assert_array_equal(
-            xcorr_metric(plane, prepared),
+            xcorr_metric(plane, prepared)[0],
             _reference_metric(samples, ci, cq))
 
 
@@ -165,19 +188,20 @@ class TestXcorrDetect:
     def test_fused_stream_matches_parts(self):
         rng = np.random.default_rng(5)
         ci, cq = _random_bank(rng)
-        prepared = prepare_coefficients(ci, cq)
+        prepared = _prepare(ci, cq)
         samples = rng.normal(size=400) + 1j * rng.normal(size=400)
         plane = _plane_with_history(samples, prepared.history_pairs)
-        metric = xcorr_metric(plane, prepared)
+        metric = xcorr_metric(plane, prepared)[0]
         threshold = int(np.percentile(metric, 90))
-        result = xcorr_detect(plane, prepared, threshold)
-        np.testing.assert_array_equal(result.metric, metric)
-        np.testing.assert_array_equal(result.trigger, metric > threshold)
+        result = xcorr_detect(plane, prepared, [threshold])
+        np.testing.assert_array_equal(result.metric[0], metric)
+        np.testing.assert_array_equal(result.trigger[0], metric > threshold)
         expected_edges = np.flatnonzero(
             np.diff(np.concatenate([[False], metric > threshold])
                     .astype(np.int8)) > 0)
-        np.testing.assert_array_equal(result.edges, expected_edges)
-        assert result.last == bool((metric > threshold)[-1])
+        (edges,) = result.edges
+        np.testing.assert_array_equal(edges, expected_edges)
+        assert result.last.tolist() == [bool((metric > threshold)[-1])]
 
 
 class TestXcorrDetectBatch:
@@ -185,22 +209,22 @@ class TestXcorrDetectBatch:
         """Feed the rows one by one through the streaming kernel."""
         pairs = prepared.history_pairs
         history = np.zeros(2 * pairs, dtype=np.int8)
-        last = False
+        last = None
         triggers, edge_counts = [], []
         for row, length in zip(rows, lengths):
             chunk = row[:length]
             plane = _plane_with_history(chunk, pairs, history)
-            result = xcorr_detect(plane, prepared, threshold, last=last)
+            result = xcorr_detect(plane, prepared, [threshold], last=last)
             history = plane[2 * chunk.size:].copy()
             last = result.last
-            triggers.append(result.trigger)
-            edge_counts.append(result.edges.size)
+            triggers.append(result.trigger[0])
+            edge_counts.append(result.edges[0].size)
         return triggers, edge_counts, history, last
 
     def test_byte_identical_to_streaming(self):
         rng = np.random.default_rng(6)
         ci, cq = _random_bank(rng)
-        prepared = prepare_coefficients(ci, cq)
+        prepared = _prepare(ci, cq)
         width = 300
         lengths = np.array([300, 150, 64, 300, 299], dtype=np.int64)
         blocks = rng.normal(size=(5, width)) \
@@ -210,45 +234,45 @@ class TestXcorrDetectBatch:
             ci, cq)
         threshold = int(np.percentile(metric_all, 85))
 
-        result = xcorr_detect_batch(blocks, lengths, prepared, threshold)
+        result = xcorr_detect_batch(blocks, lengths, prepared, [threshold])
         triggers, edge_counts, history, last = self._stream_reference(
             blocks, lengths, prepared, threshold)
 
         for b, length in enumerate(lengths):
             np.testing.assert_array_equal(
-                result.trigger[b, :length], triggers[b])
+                result.trigger[b, 0, :length], triggers[b])
             assert int(result.edge_plane[b].sum()) == edge_counts[b]
         np.testing.assert_array_equal(result.history, history)
-        assert result.last == last
+        np.testing.assert_array_equal(result.last, last)
 
     def test_short_rows_fall_back_to_sequential_stitch(self):
         """Rows shorter than the history depth still chain exactly."""
         rng = np.random.default_rng(7)
         ci, cq = _random_bank(rng)
-        prepared = prepare_coefficients(ci, cq)
+        prepared = _prepare(ci, cq)
         lengths = np.array([200, 5, 3, 200], dtype=np.int64)
         blocks = rng.normal(size=(4, 200)) \
             + 1j * rng.normal(size=(4, 200))
         threshold = 100_000
-        result = xcorr_detect_batch(blocks, lengths, prepared, threshold)
+        result = xcorr_detect_batch(blocks, lengths, prepared, [threshold])
         triggers, edge_counts, history, last = self._stream_reference(
             blocks, lengths, prepared, threshold)
         for b, length in enumerate(lengths):
             np.testing.assert_array_equal(
-                result.trigger[b, :length], triggers[b])
+                result.trigger[b, 0, :length], triggers[b])
             assert int(result.edge_plane[b].sum()) == edge_counts[b]
         np.testing.assert_array_equal(result.history, history)
-        assert result.last == last
+        np.testing.assert_array_equal(result.last, last)
 
     def test_carry_state_chains_across_calls(self):
         """Splitting a batch into two calls with carried state is exact."""
         rng = np.random.default_rng(8)
         ci, cq = _random_bank(rng)
-        prepared = prepare_coefficients(ci, cq)
+        prepared = _prepare(ci, cq)
         blocks = rng.normal(size=(6, 128)) \
             + 1j * rng.normal(size=(6, 128))
         lengths = np.full(6, 128, dtype=np.int64)
-        threshold = 50_000
+        threshold = [50_000]
 
         whole = xcorr_detect_batch(blocks, lengths, prepared, threshold)
         first = xcorr_detect_batch(blocks[:3], lengths[:3], prepared,
@@ -260,16 +284,54 @@ class TestXcorrDetectBatch:
             np.vstack([first.edge_plane, second.edge_plane]),
             whole.edge_plane)
         np.testing.assert_array_equal(second.history, whole.history)
-        assert second.last == whole.last
+        np.testing.assert_array_equal(second.last, whole.last)
 
     def test_rejects_bad_shapes(self):
-        prepared = prepare_coefficients([1, 2], [3, 4])
+        prepared = _prepare([1, 2], [3, 4])
         with pytest.raises(StreamError):
             xcorr_detect_batch(np.zeros(8, dtype=complex),
-                               np.array([8]), prepared, 0)
+                               np.array([8]), prepared, [0])
         with pytest.raises(StreamError):
             xcorr_detect_batch(np.zeros((2, 8), dtype=complex),
-                               np.array([8, 9]), prepared, 0)
+                               np.array([8, 9]), prepared, [0])
         with pytest.raises(StreamError):
             xcorr_detect_batch(np.zeros((2, 8), dtype=complex),
-                               np.array([8, 0]), prepared, 0)
+                               np.array([8, 0]), prepared, [0])
+
+
+#: Small banks keep the brute force cheap while exercising every
+#: alignment of the windowed GEMM.
+bank_and_plane = st.integers(min_value=2, max_value=12).flatmap(
+    lambda taps: st.tuples(
+        st.lists(st.integers(-4, 3), min_size=taps, max_size=taps),
+        st.lists(st.integers(-4, 3), min_size=taps, max_size=taps),
+        st.lists(st.sampled_from([-1, 0, 1]),
+                 min_size=2 * taps, max_size=2 * (taps + 40)),
+    )
+)
+
+
+class TestAgainstBruteForce:
+    @given(bank_and_plane)
+    @settings(max_examples=60, deadline=None)
+    def test_metric_matches_brute_force(self, case):
+        ci_list, cq_list, plane_list = case
+        ci = np.array(ci_list, dtype=np.int64)
+        cq = np.array(cq_list, dtype=np.int64)
+        # Round the plane down to whole I/Q pairs.
+        plane = np.array(plane_list[:len(plane_list) & ~1],
+                         dtype=np.int8)
+        if plane.size // 2 < ci.size:
+            plane = np.pad(plane, (0, 2 * ci.size - plane.size))
+        got = xcorr_metric(plane, _prepare(ci, cq))[0]
+        np.testing.assert_array_equal(got, _brute_metric(plane, ci, cq))
+
+    def test_paper_shape_matches_brute_force(self):
+        rng = np.random.default_rng(9)
+        ci = rng.integers(-4, 4, 64)
+        cq = rng.integers(-4, 4, 64)
+        plane = rng.choice(
+            np.array([-1, 1], dtype=np.int8), size=2 * (63 + 777))
+        np.testing.assert_array_equal(
+            xcorr_metric(plane, _prepare(ci, cq))[0],
+            _brute_metric(plane, ci, cq))

@@ -135,7 +135,7 @@ def test_correlator_chunking_invariant(seed: int, n_chunks: int):
     chunked = CrossCorrelator(ci, cq)
     bounds = np.linspace(0, 300, n_chunks + 1).astype(int)
     parts = [chunked.metric(x[a:b]) for a, b in zip(bounds, bounds[1:])]
-    assert np.array_equal(np.concatenate(parts), whole)
+    assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
 
 @given(seeds)

@@ -90,7 +90,7 @@ class TestChunkInvariance:
         streamed = CrossCorrelator(coeffs_i, coeffs_q)
         parts = [streamed.metric(signal[i:i + chunk_size])
                  for i in range(0, signal.size, chunk_size)]
-        assert np.array_equal(whole, np.concatenate(parts))
+        assert np.array_equal(whole, np.concatenate(parts, axis=1))
 
     @pytest.mark.parametrize("chunk_size", [1, 17, 32, 400])
     def test_energy_scratch_reuse_matches_single_shot(self, rng, chunk_size):
