@@ -19,7 +19,7 @@ from repro.experiments.wifi_jamming import WifiJammingTestbed
 SIRS_DB = [45.0, 35.0, 30.0, 25.0, 20.0, 16.0, 12.0, 8.0, 4.0, 2.0, 0.0]
 DURATION_S = 0.25
 
-#: SweepRunner pool size (each grid point seeds itself, so the sweep
+#: Sweep pool size (each grid point seeds itself, so the sweep
 #: result is byte-identical for any worker count).
 _WORKERS = max(1, min(4, len(os.sched_getaffinity(0))))
 

@@ -15,7 +15,7 @@ from repro.experiments.detection import long_preamble_curve
 SNRS_DB = [-6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 5.0, 8.0, 12.0]
 N_FRAMES = 400
 
-#: SweepRunner pool size: results are worker-count-independent, so the
+#: Sweep pool size: results are worker-count-independent, so the
 #: sweep runs parallel where cores exist and serial where they don't.
 _WORKERS = max(1, min(4, len(os.sched_getaffinity(0))))
 

@@ -16,7 +16,7 @@ from repro.experiments.detection import short_preamble_curve
 SNRS_DB = [-9.0, -6.0, -3.0, 0.0, 3.0, 6.0, 9.0]
 N_FRAMES = 400
 
-#: SweepRunner pool size (results are worker-count-independent).
+#: Sweep pool size (results are worker-count-independent).
 _WORKERS = max(1, min(4, len(os.sched_getaffinity(0))))
 
 

@@ -17,7 +17,7 @@ from repro.experiments.detection import energy_detector_curve
 SNRS_DB = [-6.0, -3.0, 0.0, 3.0, 6.0, 8.0, 9.0, 10.0, 11.0, 13.0, 16.0]
 N_FRAMES = 300
 
-#: SweepRunner pool size (results are worker-count-independent).
+#: Sweep pool size (results are worker-count-independent).
 _WORKERS = max(1, min(4, len(os.sched_getaffinity(0))))
 
 

@@ -4,9 +4,11 @@ Two guarantees of :mod:`repro.runtime` are enforced here rather than
 in tier-1:
 
 * **parallel sweep speedup** — a 4-worker Fig. 6 detection sweep must
-  return byte-identical curve values to the serial path, and (given
-  at least 4 usable cores) finish at least ``MIN_SPEEDUP`` times
-  faster in wall-clock terms;
+  return byte-identical curve values to the serial path, and finish
+  at least ``MIN_SPEEDUP`` times faster in wall-clock terms.  With
+  fewer than 4 usable cores the speedup gate cannot be judged: the
+  record carries ``speedup_enforced: false`` and a ``skip_reason``,
+  and the test reports itself skipped with that reason;
 * **warm artifact cache** — rebuilding the PPDU / preamble-template /
   quantized-coefficient artifacts with a warm cache must be at least
   ``MIN_CACHE_SPEEDUP`` times faster than the cold build, with
@@ -77,7 +79,8 @@ def test_bench_runtime_sweep_speedup(runtime_record):
     print(f"\nRuntime — Fig. 6 sweep: serial {serial_ns / 1e6:.0f} ms, "
           f"{SWEEP_WORKERS} workers {parallel_ns / 1e6:.0f} ms "
           f"-> {speedup:.2f}x ({_USABLE_CORES} usable cores)")
-    runtime_record["sweep_speedup"] = {
+    enforced = _USABLE_CORES >= SWEEP_WORKERS
+    record = runtime_record["sweep_speedup"] = {
         "snrs_db": SNRS_DB,
         "n_frames": N_FRAMES,
         "workers": SWEEP_WORKERS,
@@ -87,13 +90,17 @@ def test_bench_runtime_sweep_speedup(runtime_record):
         "speedup": speedup,
         "byte_identical": True,
         "min_speedup": MIN_SPEEDUP,
-        "speedup_enforced": _USABLE_CORES >= SWEEP_WORKERS,
+        "speedup_enforced": enforced,
     }
-    if _USABLE_CORES >= SWEEP_WORKERS:
-        assert speedup >= MIN_SPEEDUP, (
-            f"{SWEEP_WORKERS}-worker sweep is only {speedup:.2f}x faster "
-            f"(floor {MIN_SPEEDUP}x)"
-        )
+    if not enforced:
+        record["skip_reason"] = (
+            f"speedup gate needs {SWEEP_WORKERS} usable cores, this host "
+            f"has {_USABLE_CORES} (byte-identity was still asserted)")
+        pytest.skip(record["skip_reason"])
+    assert speedup >= MIN_SPEEDUP, (
+        f"{SWEEP_WORKERS}-worker sweep is only {speedup:.2f}x faster "
+        f"(floor {MIN_SPEEDUP}x)"
+    )
 
 
 def _build_artifacts() -> int:

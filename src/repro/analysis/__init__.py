@@ -10,8 +10,8 @@ detection state two calls from where it was made.  This package closes
 that gap with a two-phase static-analysis pass: an **index phase**
 builds a whole-program :class:`~repro.analysis.project.ProjectContext`
 (module/import graph, symbol table, approximate call graph,
-per-function dtype summaries, parsed in parallel), and a **rule
-phase** hands it to the rules alongside each file:
+per-function dtype summaries), and a **rule phase** hands it to the
+rules alongside each file:
 
 ========  ==========================================================
 Rule      Invariant
@@ -69,7 +69,6 @@ from repro.analysis.engine import (
     analyze_paths,
     analyze_source,
     analyze_sources,
-    default_jobs,
     iter_python_files,
     parse_files,
     resolve_rules,
@@ -91,7 +90,6 @@ __all__ = [
     "analyze_sources",
     "apply_baseline",
     "build_baseline",
-    "default_jobs",
     "get_rule",
     "iter_python_files",
     "load_baseline",

@@ -5,7 +5,6 @@
     python -m repro.analysis [paths ...]
                              [--format text|json|sarif]
                              [--select RJ001,RJ002] [--ignore RJ005]
-                             [--jobs N]
                              [--baseline FILE | --no-baseline]
                              [--update-baseline]
                              [--changed-only [--diff-base REF]]
@@ -38,7 +37,7 @@ from repro.analysis.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.engine import analyze_paths, default_jobs, resolve_rules
+from repro.analysis.engine import analyze_paths, resolve_rules
 from repro.analysis.findings import Severity
 from repro.analysis.reporters import render_json, render_sarif, render_text
 
@@ -120,10 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to skip",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="parse-pool width (default: min(8, cpu count))",
-    )
-    parser.add_argument(
         "--baseline", default=None, metavar="FILE",
         help=f"ratchet baseline file (default: {DEFAULT_BASELINE_NAME} "
              "when it exists)",
@@ -177,10 +172,6 @@ def main(argv: list[str] | None = None) -> int:
     if missing:
         parser.error(f"path(s) do not exist: {', '.join(missing)}")
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs < 1:
-        parser.error("--jobs must be >= 1")
-
     scan_paths: list[str | Path] = list(paths)
     project_paths: list[str | Path] | None = None
     if args.changed_only:
@@ -196,8 +187,7 @@ def main(argv: list[str] | None = None) -> int:
             scan_paths = list(changed)
             project_paths = list(paths)
 
-    findings = analyze_paths(scan_paths, rules, jobs=jobs,
-                             project_paths=project_paths)
+    findings = analyze_paths(scan_paths, rules, project_paths=project_paths)
 
     baseline_path = args.baseline
     if baseline_path is None and not args.no_baseline \

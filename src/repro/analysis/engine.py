@@ -1,20 +1,18 @@
-"""The rule engine: discovery, (parallel) parsing, dispatch, suppression.
+"""The rule engine: discovery, parsing, dispatch, suppression.
 
-Analysis runs in two phases.  The **index phase** parses every file —
-serially or fanned out over a parse pool — and builds the
-:class:`~repro.analysis.project.ProjectContext`: module/import graph,
-symbol table, approximate call graph, per-function dtype summaries.
-The **rule phase** walks each file once more, handing per-file rules
-the :class:`FileContext` and whole-program rules
-(:class:`ProjectRule`) the project context alongside it.  All domain
-knowledge lives in the rules (:mod:`repro.analysis.rules`); the engine
-stays deliberately boring.
+Analysis runs in two phases.  The **index phase** parses every file
+and builds the :class:`~repro.analysis.project.ProjectContext`:
+module/import graph, symbol table, approximate call graph,
+per-function dtype summaries.  The **rule phase** walks each file once
+more, handing per-file rules the :class:`FileContext` and
+whole-program rules (:class:`ProjectRule`) the project context
+alongside it.  All domain knowledge lives in the rules
+(:mod:`repro.analysis.rules`); the engine stays deliberately boring.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,9 +26,6 @@ PARSE_ERROR_CODE = "RJ000"
 #: Directories never descended into during discovery.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache",
               "build", "dist"}
-
-#: Hard cap on the parse pool; parsing saturates well before this.
-MAX_PARSE_JOBS = 8
 
 
 class FileContext:
@@ -173,11 +168,7 @@ class ParsedFile:
 
 
 def _parse_one(path_str: str) -> ParsedFile:
-    """Read + parse + collect suppressions for one file.
-
-    Module-level so the parse pool can pickle it by reference; the
-    returned dataclass (AST included) round-trips through pickle.
-    """
+    """Read + parse + collect suppressions for one file."""
     try:
         source = Path(path_str).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -208,31 +199,9 @@ def parse_source(source: str, path: str) -> ParsedFile:
                       suppressions=collect_suppressions(source, tree))
 
 
-def default_jobs() -> int:
-    """Parse-pool width used by ``--jobs auto``."""
-    return max(1, min(MAX_PARSE_JOBS, os.cpu_count() or 1))
-
-
-def parse_files(paths: Iterable[str | Path],
-                jobs: int = 1) -> list[ParsedFile]:
-    """Parse every Python file under ``paths``.
-
-    With ``jobs > 1`` the files are parsed by a process pool.  The
-    result is identical to the serial path (order included); only the
-    wall-clock changes, which the analysis test suite measures.
-    """
-    files = [str(path) for path in iter_python_files(paths)]
-    if jobs <= 1 or len(files) < 2:
-        return [_parse_one(path) for path in files]
-    # The parse fan-out is IO + C-parser work over an already-fixed
-    # file list, not a seeded trial grid, so it stays here rather than
-    # going through repro.runtime.sweep.
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(jobs, len(files))
-    chunk = max(1, len(files) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:  # repro-lint: disable=RJ008
-        return list(pool.map(_parse_one, files, chunksize=chunk))
+def parse_files(paths: Iterable[str | Path]) -> list[ParsedFile]:
+    """Parse every Python file under ``paths``, in discovery order."""
+    return [_parse_one(str(path)) for path in iter_python_files(paths)]
 
 
 # -- analysis -----------------------------------------------------------
@@ -319,7 +288,6 @@ def analyze_file(path: str | Path,
 
 def analyze_paths(paths: Iterable[str | Path],
                   rules: Iterable[Rule] | None = None,
-                  jobs: int = 1,
                   project_paths: Iterable[str | Path] | None = None
                   ) -> list[Finding]:
     """Analyze every Python file under ``paths`` (the CLI entry point).
@@ -333,11 +301,11 @@ def analyze_paths(paths: Iterable[str | Path],
         rules = resolve_rules()
     else:
         rules = list(rules)
-    parsed = parse_files(paths, jobs=jobs)
+    parsed = parse_files(paths)
     index_input = parsed
     if project_paths is not None:
         analyzed = {Path(p.path).resolve() for p in parsed}
-        extra = parse_files(project_paths, jobs=jobs)
+        extra = parse_files(project_paths)
         index_input = parsed + [
             p for p in extra if Path(p.path).resolve() not in analyzed
         ]

@@ -1,7 +1,7 @@
 """RJ011: RNG/determinism discipline on the sweep-reachable graph.
 
 The byte-identical serial/parallel guarantee of
-:mod:`repro.runtime.sweep` and the reproducibility of every figure
+:mod:`repro.runtime.jobs` and the reproducibility of every figure
 rest on one discipline: randomness enters a trial **only** through the
 per-trial ``numpy.random.Generator`` derived from an explicit seed.
 An unseeded ``default_rng()``, a legacy ``np.random.<fn>`` call (the

@@ -1,17 +1,17 @@
 """RJ008: process pools are built only by the runtime sweep engine.
 
-:mod:`repro.runtime.sweep` is the repo's single pool-policy choke
+:mod:`repro.runtime.jobs` is the repo's single pool-policy choke
 point: it owns the fork-context selection, the deterministic per-trial
-seeding discipline, chunked submission, and the serial ``workers=1``
-reference path that parallel runs must match byte-for-byte.  An ad-hoc
-``ProcessPoolExecutor`` or ``multiprocessing.Pool`` elsewhere under
-``src/`` escapes all of that — its trials draw from whatever generator
-happens to be ambient, results arrive in scheduling order, and the
-byte-identical serial/parallel guarantee quietly disappears.
+seeding discipline, sharded submission, worker supervision, and the
+serial ``workers=1`` reference path that parallel runs must match
+byte-for-byte.  An ad-hoc ``ProcessPoolExecutor`` or
+``multiprocessing.Pool`` elsewhere under ``src/`` escapes all of that
+— its trials draw from whatever generator happens to be ambient,
+results arrive in scheduling order, and the byte-identical
+serial/parallel guarantee quietly disappears.
 
 Code that needs fan-out should call
-:func:`repro.runtime.sweep.sweep` (or build a
-:class:`~repro.runtime.sweep.SweepRunner`) instead.
+:func:`repro.runtime.jobs.resilient_sweep` instead.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ class PoolConstructionRule(Rule):
     description = (
         "ProcessPoolExecutor / multiprocessing pools may only be "
         "constructed under repro.runtime; fan work out through "
-        "repro.runtime.sweep so seeding stays deterministic and "
-        "parallel runs match the serial reference byte-for-byte"
+        "repro.runtime.jobs.resilient_sweep so seeding stays "
+        "deterministic and parallel runs match the serial reference "
+        "byte-for-byte"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -105,7 +106,7 @@ class PoolConstructionRule(Rule):
                 yield self.finding(
                     ctx, node,
                     f"ad-hoc process pool {constructor}() outside "
-                    "repro.runtime; use repro.runtime.sweep so the "
-                    "per-trial seeding discipline and the serial "
+                    "repro.runtime; use repro.runtime.jobs.resilient_sweep "
+                    "so the per-trial seeding discipline and the serial "
                     "reference path still hold",
                 )

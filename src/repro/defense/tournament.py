@@ -41,11 +41,7 @@ from repro.mac.iperf import UdpBandwidthTest
 from repro.mac.medium import Medium
 from repro.mac.nodes import AccessPoint, JammerNode, Station
 from repro.mac.simkernel import SimKernel
-from repro.runtime.jobs import (
-    STRICT_RESILIENCE,
-    ResilienceConfig,
-    resilient_sweep,
-)
+from repro.runtime.jobs import ResilienceConfig, resilient_sweep
 
 if TYPE_CHECKING:
     from repro.faults.workers import WorkerFaultInjector
@@ -395,8 +391,7 @@ def run_tournament(policies: list[JamPolicy] | None = None,
     points = [(scenario, policy) for policy in policies]
     groups = resilient_sweep(
         _tournament_trial, points, trials=n_trials, workers=workers,
-        seed_root=seed, telemetry=telemetry,
-        config=resilience if resilience is not None else STRICT_RESILIENCE,
+        seed_root=seed, telemetry=telemetry, config=resilience,
         fault_injector=fault_injector)
 
     result = TournamentResult(scenario=scenario, seed=seed,

@@ -54,11 +54,7 @@ from repro.phy.wifi.frame import WifiFrameConfig, build_ppdu
 from repro.phy.wifi.params import WIFI_SAMPLE_RATE, WifiRate
 from repro.phy.wifi.preamble import long_preamble, long_training_symbol, short_preamble
 from repro.runtime.cache import cached_artifact
-from repro.runtime.jobs import (
-    STRICT_RESILIENCE,
-    ResilienceConfig,
-    resilient_sweep,
-)
+from repro.runtime.jobs import ResilienceConfig, resilient_sweep
 
 if TYPE_CHECKING:
     from repro.faults.workers import WorkerFaultInjector
@@ -72,9 +68,9 @@ PAPER_FRAME_COUNT = 10_000
 #: the streaming blocks and separation between detection windows).
 GUARD_SAMPLES = 512
 
-#: Frames folded into one sweep trial.  Each trial is one schedulable
-#: unit of the :mod:`repro.runtime.sweep` grid, so this sets the
-#: load-balancing granularity of a parallel curve run.
+#: Frames folded into one sweep trial.  Each trial is one cell of the
+#: :mod:`repro.runtime.jobs` grid, so this sets the load-balancing
+#: granularity of a parallel curve run.
 FRAMES_PER_TRIAL = 50
 
 #: Seed-sequence spice decorrelating the frame-synthesis generator
@@ -309,13 +305,13 @@ def _count_frames_looped(spec: _CurveTrialSpec, detector_process,
 
 def _xcorr_trial(spec: _CurveTrialSpec, rng: np.random.Generator
                  ) -> tuple[int, int]:
-    """One correlator trial batch (a SweepRunner task)."""
+    """One correlator trial batch (a sweep task)."""
     return _count_frames(spec, rng)
 
 
 def _energy_trial(spec: _CurveTrialSpec, rng: np.random.Generator
                   ) -> tuple[int, int]:
-    """One energy-differentiator trial batch (a SweepRunner task)."""
+    """One energy-differentiator trial batch (a sweep task)."""
     return _count_frames(spec, rng)
 
 
@@ -391,9 +387,8 @@ def _detection_curve(template: np.ndarray, frame_kind: str,
     trial_index)``, so the curve is byte-identical for any ``workers``
     count — and for any number of worker crashes, hangs, retries, or
     checkpoint resumes the run survives along the way.  The default
-    policy (:data:`~repro.runtime.jobs.STRICT_RESILIENCE`) retries
-    failed shards but never quarantines: a curve with holes is not a
-    result.
+    :class:`~repro.runtime.jobs.ResilienceConfig` retries failed shards
+    but never quarantines: a curve with holes is not a result.
     """
     coeffs_i, coeffs_q = quantize_coefficients(template)
     threshold = threshold_for_false_alarm_rate(coeffs_i, coeffs_q,
@@ -409,7 +404,7 @@ def _detection_curve(template: np.ndarray, frame_kind: str,
     outcomes = resilient_sweep(
         _xcorr_trial, specs, workers=workers, seed_root=seed,
         telemetry=telemetry,
-        config=resilience if resilience is not None else STRICT_RESILIENCE,
+        config=resilience,
         fault_injector=fault_injector)
     return _merge_points(snrs_db, specs, outcomes)
 
@@ -502,6 +497,6 @@ def energy_detector_curve(snrs_db: list[float], n_frames: int = 500,
     outcomes = resilient_sweep(
         _energy_trial, specs, workers=workers, seed_root=seed,
         telemetry=telemetry,
-        config=resilience if resilience is not None else STRICT_RESILIENCE,
+        config=resilience,
         fault_injector=fault_injector)
     return _merge_points(snrs_db, specs, outcomes)

@@ -22,11 +22,7 @@ from repro.mac.iperf import IperfReport, UdpBandwidthTest
 from repro.mac.medium import Medium
 from repro.mac.nodes import AccessPoint, JammerNode, Station
 from repro.mac.simkernel import SimKernel
-from repro.runtime.jobs import (
-    STRICT_RESILIENCE,
-    ResilienceConfig,
-    resilient_sweep,
-)
+from repro.runtime.jobs import ResilienceConfig, resilient_sweep
 
 if TYPE_CHECKING:
     from repro.faults.workers import WorkerFaultInjector
@@ -183,9 +179,7 @@ class WifiJammingTestbed:
                     for sir_db in sir_values_db)
         groups = resilient_sweep(
             _sweep_point_task, grid, workers=workers, seed_root=seed,
-            telemetry=telemetry,
-            config=resilience if resilience is not None
-            else STRICT_RESILIENCE,
+            telemetry=telemetry, config=resilience,
             fault_injector=fault_injector)
         return [group[0] for group in groups]
 
@@ -194,7 +188,7 @@ def _sweep_point_task(spec: tuple[WifiJammingTestbed,
                                   JammerPersonality | None,
                                   float | None, int],
                       rng: np.random.Generator) -> JammingSweepPoint:
-    """One grid point as a picklable SweepRunner task.
+    """One grid point as a picklable sweep task.
 
     The sweep-provided ``rng`` is deliberately unused: ``run_point``
     seeds itself from the user-facing ``seed``, which keeps the

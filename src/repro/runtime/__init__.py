@@ -6,20 +6,18 @@ experiments — and the reproduction needs the same sweeps to finish in
 benchmark time.  This package owns the three mechanisms that make
 that possible without touching the science:
 
-* :mod:`repro.runtime.sweep` — a process-pool fan-out engine for
-  embarrassingly-parallel trial grids with deterministic per-trial
-  seeding (``workers=1`` is byte-identical to ``workers=N``);
+* :mod:`repro.runtime.jobs` — the sweep engine: trial grids with
+  deterministic per-trial seeding (``workers=1`` is byte-identical to
+  ``workers=N``), split into content-addressed shards, with a durable
+  :class:`ShardCheckpoint` journal for crash-resumable sweeps, a
+  :class:`WorkerSupervisor` with crash/hang detection and seeded
+  retry/backoff, and a :class:`SweepHealth` report folded into
+  telemetry;
 * :mod:`repro.runtime.cache` — a content-addressed in-process cache
   for expensive deterministic artifacts (PPDUs, preambles, quantized
   coefficient banks, resampled templates);
 * :mod:`repro.runtime.buffers` — grow-only scratch buffers the
-  streaming hot path reuses across chunks instead of reallocating;
-* :mod:`repro.runtime.jobs` — the fault-tolerant job layer over the
-  sweep engine: content-addressed shards, a durable
-  :class:`ShardCheckpoint` journal for crash-resumable sweeps, a
-  :class:`WorkerSupervisor` with crash/hang detection and seeded
-  retry/backoff, quarantine for poison shards, and a
-  :class:`SweepHealth` report folded into telemetry.
+  streaming hot path reuses across chunks instead of reallocating.
 
 Pool policy lives here and only here: repro-lint rule RJ008 flags any
 other module constructing ``ProcessPoolExecutor`` / ``multiprocessing``
@@ -38,7 +36,6 @@ from repro.runtime.cache import (
     freeze_artifact,
 )
 from repro.runtime.jobs import (
-    STRICT_RESILIENCE,
     ResilienceConfig,
     ResilientSweepRunner,
     ShardCheckpoint,
@@ -48,18 +45,15 @@ from repro.runtime.jobs import (
     resilient_sweep,
     shard_key,
 )
-from repro.runtime.sweep import SweepRunner, sweep
 
 __all__ = [
     "ArtifactCache",
     "DEFAULT_CACHE",
     "ResilienceConfig",
     "ResilientSweepRunner",
-    "STRICT_RESILIENCE",
     "ScratchBuffer",
     "ShardCheckpoint",
     "SweepHealth",
-    "SweepRunner",
     "WorkerSupervisor",
     "cache_key",
     "cached_artifact",
@@ -67,5 +61,4 @@ __all__ = [
     "last_sweep_health",
     "resilient_sweep",
     "shard_key",
-    "sweep",
 ]

@@ -1,18 +1,24 @@
-"""Fault-tolerant job layer over the sweep engine.
+"""The sweep engine: supervised, checkpointed, resumable trial grids.
 
-:class:`~repro.runtime.sweep.SweepRunner` assumes a healthy host: one
-crashed or hung worker aborts the whole sweep and loses every
-completed trial.  The paper's evaluation campaigns (10,000-frame
-detection curves, personality x SIR iperf grids) are long-running
-measurement jobs that must survive flaky hosts, so this module wraps
-the same deterministic grid in a supervised, checkpointed, resumable
-execution layer:
+The evaluation sweeps — detection probability over SNR (Figs. 6-8),
+iperf statistics over SIR (Figs. 10-11) — are grids of independent
+trials, and the paper's campaigns (10,000-frame detection curves,
+personality x SIR iperf grids) are long-running measurement jobs that
+must survive flaky hosts.  :func:`resilient_sweep` runs such a grid
+serially or over a supervised process pool:
 
-* **Shards.**  The flattened ``points x trials`` grid is split into
-  content-addressed shards — the unit of scheduling, retry, and
-  checkpointing.  Shard keys are derived exactly like
-  :func:`repro.runtime.cache.cache_key` artifacts, so a re-submitted
-  or interrupted sweep recognizes its own completed work.
+* **Determinism.**  Every trial gets its own generator,
+  ``numpy.random.default_rng(seed_root + trial_index)``, where the
+  trial index is the task's position in the flattened
+  ``points x trials`` grid (:func:`build_tasks`).  Seeds depend only
+  on grid position, never on scheduling, so ``workers=N`` is
+  byte-identical to the serial ``workers=1`` path, and a re-executed
+  shard reproduces its results bit-for-bit.
+* **Shards.**  The flattened grid is split into content-addressed
+  shards — the unit of scheduling, retry, and checkpointing.  Shard
+  keys are derived exactly like :func:`repro.runtime.cache.cache_key`
+  artifacts, so a re-submitted or interrupted sweep recognizes its own
+  completed work.
 * **Checkpoints.**  With a :class:`ShardCheckpoint` journal attached,
   every completed shard's results are appended durably (JSONL, one
   fsynced line per shard, payload guarded by a SHA-256 digest).  A
@@ -23,26 +29,30 @@ execution layer:
   (``BrokenProcessPool``) and hangs (per-shard deadlines checked
   against submission heartbeat timestamps), rebuilds the pool, and
   requeues the affected shards with seeded exponential backoff under a
-  bounded per-shard attempt budget.  A shard that keeps failing is
-  **quarantined** — reported in :class:`SweepHealth`, its trials left
-  as ``None`` — instead of failing the sweep (configurable; the
-  experiment wrappers demand complete results and set
-  ``quarantine_limit=0``).
-* **Backpressure.**  At most ``workers * max_inflight_per_worker``
+  bounded per-shard attempt budget.  A shard that exhausts its budget
+  fails the sweep with :class:`~repro.errors.WorkerCrashError` — a
+  curve with holes is not a result.  A config with a positive
+  ``quarantine_limit`` instead **quarantines** up to that many poison
+  shards, reported in :class:`SweepHealth` with their trials left as
+  ``None``.
+* **Backpressure.**  At most ``workers * MAX_INFLIGHT_PER_WORKER``
   shards are submitted at a time, so a million-trial sweep never
   serializes its whole grid into the pool's call queue at once.
 
-The invariant that makes this a correctness feature rather than
-plumbing: trials are seeded by grid position
-(:func:`repro.runtime.sweep.build_tasks`), so a re-executed shard
-reproduces its results bit-for-bit.  A sweep that survives injected
-worker kills, or is killed and resumed, returns **byte-identical**
-results to the uninterrupted serial reference — the chaos benchmarks
-(``benchmarks/test_bench_resilience.py``) assert exactly that.
+A sweep that survives injected worker kills, or is killed and resumed,
+returns **byte-identical** results to the uninterrupted serial run —
+the chaos benchmarks (``benchmarks/test_bench_resilience.py``) assert
+exactly that.
 
+Trial functions must be module-level callables (the pool pickles them
+by reference) and should be pure functions of ``(point, rng)``.
 Chaos testing hooks into :class:`repro.faults.workers.WorkerFaultInjector`:
 pass one as ``fault_injector`` and its seeded kill/hang/slow plan is
 enacted inside the workers.
+
+This module is the repo's one pool-policy choke point: repro-lint
+RJ008 flags ``ProcessPoolExecutor``/``multiprocessing`` construction
+anywhere else under ``src/``.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ import base64
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import time
@@ -66,12 +77,6 @@ import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError, WorkerCrashError
 from repro.runtime.cache import cache_key
-from repro.runtime.sweep import (
-    CHUNKS_PER_WORKER,
-    _pool_context,
-    _Task,
-    build_tasks,
-)
 
 if TYPE_CHECKING:  # one-way dependencies: runtime never imports these
     from repro.faults.workers import WorkerFaultInjector
@@ -86,6 +91,15 @@ CRASHES_COUNTER = "runtime.jobs.crashes"
 HANGS_COUNTER = "runtime.jobs.hangs"
 QUARANTINED_COUNTER = "runtime.jobs.quarantined"
 CHECKPOINT_HITS_COUNTER = "runtime.jobs.checkpoint_hits"
+WORKERS_GAUGE = "runtime.jobs.workers"
+
+#: Shards per worker when no explicit chunk size is given — enough
+#: slack for load balancing, few enough for cheap IPC.
+CHUNKS_PER_WORKER = 4
+
+#: Backpressure bound: at most ``workers * MAX_INFLIGHT_PER_WORKER``
+#: shards are inside the pool at once.
+MAX_INFLIGHT_PER_WORKER = 2
 
 #: Seed-sequence domain tag for the backoff jitter substream (pacing
 #: only — never touches trial RNGs, so results stay byte-identical).
@@ -94,6 +108,40 @@ _BACKOFF_DOMAIN = 0x4A0B
 #: Poll granularity of the supervisor loop when it cannot block
 #: indefinitely (backoff timers or shard deadlines are pending).
 _POLL_S = 0.05
+
+
+@dataclass(frozen=True)
+class _Task:
+    """One (point, trial) cell of the flattened sweep grid."""
+
+    index: int
+    point: Any
+    seed: int
+
+
+def build_tasks(points: Sequence[Any], trials: int,
+                seed_root: int) -> list[_Task]:
+    """Flatten a ``points x trials`` grid into seeded tasks.
+
+    This is the one place the seeding discipline is written down:
+    trial ``(p, t)`` draws from ``default_rng(seed_root + p*trials +
+    t)``, whichever process runs it and however often.
+    """
+    return [
+        _Task(index=point_index * trials + trial,
+              point=point,
+              seed=seed_root + point_index * trials + trial)
+        for point_index, point in enumerate(points)
+        for trial in range(trials)
+    ]
+
+
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """Fork where available (cheap, inherits warm caches), else default."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # platform without fork
+        return multiprocessing.get_context()
 
 
 @dataclass(frozen=True)
@@ -112,27 +160,20 @@ class ResilienceConfig:
             and its pool recycled.  ``None`` disables hang detection.
         quarantine_limit: How many shards may be quarantined before
             the sweep fails with :class:`~repro.errors.WorkerCrashError`.
-            ``None`` means unlimited (never fail the sweep); ``0``
-            means any exhausted shard aborts — the right setting when
-            partial results are useless.
-        max_inflight_per_worker: Backpressure bound — at most
-            ``workers * max_inflight_per_worker`` shards are inside
-            the pool at once.
+            The default ``0`` makes any exhausted shard abort — partial
+            results are useless to a curve; ``None`` means unlimited
+            (never fail the sweep).
         checkpoint_path: Durable journal path; ``None`` disables
-            checkpointing.
-        resume: Whether an existing journal's completed shards are
-            replayed (``False`` re-executes everything but still
-            records fresh entries).
+            checkpointing.  An existing journal's completed shards are
+            replayed, not re-executed.
     """
 
     max_attempts: int = 3
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
     shard_deadline_s: float | None = None
-    quarantine_limit: int | None = None
-    max_inflight_per_worker: int = 2
+    quarantine_limit: int | None = 0
     checkpoint_path: str | None = None
-    resume: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -146,13 +187,6 @@ class ResilienceConfig:
             raise ConfigurationError("shard_deadline_s must be positive")
         if self.quarantine_limit is not None and self.quarantine_limit < 0:
             raise ConfigurationError("quarantine_limit must be >= 0 or None")
-        if self.max_inflight_per_worker < 1:
-            raise ConfigurationError("max_inflight_per_worker must be >= 1")
-
-
-#: The policy the experiment wrappers use: retry like the default, but
-#: never hand back a curve with holes in it.
-STRICT_RESILIENCE = ResilienceConfig(quarantine_limit=0)
 
 
 @dataclass
@@ -265,11 +299,16 @@ def shard_key(fn: Callable, tasks: Sequence[_Task]) -> str:
 
 def _run_shard(fn: Callable[[Any, np.random.Generator], Any],
                tasks: Sequence[_Task], shard_index: int, attempt: int,
-               injector: "WorkerFaultInjector | None"
+               injector: "WorkerFaultInjector | None", in_worker: bool
                ) -> list[tuple[int, Any]]:
-    """Worker-side shard execution (same seeding as ``_run_chunk``)."""
+    """Execute one shard's tasks, results indexed by grid position.
+
+    Runs in a pool worker, or in-process on the serial path
+    (``in_worker=False``), where an injected KILL raises
+    :class:`~repro.errors.WorkerCrashError` instead of exiting.
+    """
     if injector is not None:
-        injector.apply(shard_index, attempt, in_worker=True)
+        injector.apply(shard_index, attempt, in_worker=in_worker)
     return [(task.index, fn(task.point, np.random.default_rng(task.seed)))
             for task in tasks]
 
@@ -471,12 +510,9 @@ class WorkerSupervisor:
                 time.sleep(wait_s)
             shard.submitted_at = time.monotonic()
             try:
-                if self.fault_injector is not None:
-                    self.fault_injector.apply(shard.index, shard.attempts,
-                                              in_worker=False)
-                rows = [(task.index,
-                         fn(task.point, np.random.default_rng(task.seed)))
-                        for task in shard.tasks]
+                rows = _run_shard(fn, shard.tasks, shard.index,
+                                  shard.attempts, self.fault_injector,
+                                  in_worker=False)
             except Exception as exc:
                 crash = isinstance(exc, WorkerCrashError)
                 if not crash and not self._retryable(exc):
@@ -527,7 +563,7 @@ class WorkerSupervisor:
         """Fan shards over a supervised pool until all complete."""
         cfg = self.config
         queue: deque[_Shard] = deque(shards)
-        max_inflight = self.workers * cfg.max_inflight_per_worker
+        max_inflight = self.workers * MAX_INFLIGHT_PER_WORKER
         pool = self._new_pool()
         pending: dict[Future, _Shard] = {}
         try:
@@ -599,7 +635,8 @@ class WorkerSupervisor:
                 continue
             shard.submitted_at = now
             future = pool.submit(_run_shard, fn, shard.tasks, shard.index,
-                                 shard.attempts, self.fault_injector)
+                                 shard.attempts, self.fault_injector,
+                                 in_worker=True)
             pending[future] = shard
 
     def _hung_shards(self, pending: dict[Future, _Shard]) -> list[Future]:
@@ -627,18 +664,23 @@ class WorkerSupervisor:
 class ResilientSweepRunner:
     """Checkpointed, supervised, crash-resumable sweep execution.
 
-    The drop-in hardened sibling of
-    :class:`~repro.runtime.sweep.SweepRunner`: same grid semantics,
-    same seeding discipline, same ``points x trials`` result shape,
-    byte-identical results — plus shard checkpointing, worker
-    supervision with retry/backoff, quarantine, and a
-    :class:`SweepHealth` report on :attr:`health` after every run.
+    Attributes:
+        workers: Pool size; ``1`` runs serially in-process, the
+            reference the pooled path matches byte-for-byte.
+        seed_root: Base of the per-trial seeding discipline.
+        chunk_size: Tasks per shard; ``None`` derives one from the grid
+            size and worker count.
+        telemetry: Optional :class:`repro.telemetry.session.Telemetry`
+            bundle; when given, the ``runtime.jobs.*`` counters and the
+            worker gauge are folded into its metrics registry.
+        config: Retry/quarantine/checkpoint policy; ``None`` is the
+            strict default :class:`ResilienceConfig`.
+        fault_injector: Optional chaos-testing fault plan.
     """
 
     def __init__(self, workers: int = 1, seed_root: int = 0,
                  chunk_size: int | None = None,
                  telemetry: "Telemetry | None" = None,
-                 progress: Callable[[int, int], None] | None = None,
                  config: ResilienceConfig | None = None,
                  fault_injector: "WorkerFaultInjector | None" = None) -> None:
         if workers < 1:
@@ -649,7 +691,6 @@ class ResilientSweepRunner:
         self.seed_root = int(seed_root)
         self.chunk_size = chunk_size
         self.telemetry = telemetry
-        self.progress = progress
         self.config = config if config is not None else ResilienceConfig()
         self.fault_injector = fault_injector
         #: The last run's health report (None before the first run).
@@ -678,7 +719,7 @@ class ResilientSweepRunner:
         metrics.counter(HANGS_COUNTER).inc(health.hangs)
         metrics.counter(QUARANTINED_COUNTER).inc(len(health.quarantined))
         metrics.counter(CHECKPOINT_HITS_COUNTER).inc(health.checkpoint_hits)
-        metrics.gauge("runtime.jobs.workers").set(self.workers)
+        metrics.gauge(WORKERS_GAUGE).set(self.workers)
         metrics.histogram("runtime.jobs.run_seconds",
                           bounds=(0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
                           ).observe(health.elapsed_s)
@@ -688,10 +729,11 @@ class ResilientSweepRunner:
         """Run ``fn(point, rng)`` for every (point, trial) cell.
 
         Returns one list per point holding its ``trials`` results in
-        trial order, byte-identical to
-        :meth:`repro.runtime.sweep.SweepRunner.sweep` on the same
-        grid.  Quarantined shards (if the config permits any) leave
-        ``None`` in their cells; check :attr:`health`.
+        trial order, the same for any ``workers`` count.  A shard that
+        exhausts its attempt budget raises
+        :class:`~repro.errors.WorkerCrashError`, unless the config
+        permits quarantine: quarantined shards leave ``None`` in their
+        cells; check :attr:`health`.
         """
         if trials < 1:
             raise ConfigurationError("trials must be >= 1")
@@ -748,7 +790,7 @@ class ResilientSweepRunner:
         todo: list[_Shard] = []
         for shard in shards:
             shard.key = shard_key(fn, shard.tasks)
-            rows = checkpoint.get(shard.key) if self.config.resume else None
+            rows = checkpoint.get(shard.key)
             if rows is None or [row[0] for row in rows] \
                     != list(shard.trial_indices):
                 todo.append(shard)
@@ -758,8 +800,6 @@ class ResilientSweepRunner:
             health.checkpoint_hits += 1
             health.completed_shards += 1
             health.completed_tasks += len(rows)
-            if self.progress is not None:
-                self.progress(health.completed_tasks, health.total_tasks)
         return todo
 
     def _complete(self, shard: _Shard, rows: list[tuple[int, Any]],
@@ -774,8 +814,6 @@ class ResilientSweepRunner:
         if checkpoint is not None:
             checkpoint.record(shard.key, shard.index, shard.attempts + 1,
                               rows)
-        if self.progress is not None:
-            self.progress(health.completed_tasks, health.total_tasks)
 
 
 def resilient_sweep(fn: Callable[[Any, np.random.Generator], Any],
@@ -783,14 +821,17 @@ def resilient_sweep(fn: Callable[[Any, np.random.Generator], Any],
                     workers: int = 1, seed_root: int = 0,
                     chunk_size: int | None = None,
                     telemetry: "Telemetry | None" = None,
-                    progress: Callable[[int, int], None] | None = None,
                     config: ResilienceConfig | None = None,
                     fault_injector: "WorkerFaultInjector | None" = None
                     ) -> list[list[Any]]:
-    """One-shot convenience wrapper around :class:`ResilientSweepRunner`."""
+    """Run ``fn(point, rng)`` for every (point, trial) cell.
+
+    One-shot wrapper around :class:`ResilientSweepRunner`; the run's
+    health report is kept for :func:`last_sweep_health`.
+    """
     runner = ResilientSweepRunner(workers=workers, seed_root=seed_root,
                                   chunk_size=chunk_size, telemetry=telemetry,
-                                  progress=progress, config=config,
+                                  config=config,
                                   fault_injector=fault_injector)
     return runner.sweep(fn, points, trials)
 
@@ -813,7 +854,6 @@ __all__ = [
     "ResilienceConfig",
     "ResilientSweepRunner",
     "ShardCheckpoint",
-    "STRICT_RESILIENCE",
     "SweepHealth",
     "WorkerSupervisor",
     "last_sweep_health",

@@ -1,32 +1,19 @@
-"""The index phase: ProjectContext, call graph, parallel parsing.
+"""The index phase: ProjectContext, symbol table, call graph.
 
-The acceptance budget for the whole analysis is explicit: a full
-project index plus all thirteen rules over the entire repository in
-under ten seconds.  The timing tests here measure the index phase
-directly against the real source tree, and the parallel-parse tests
-assert result *parity* unconditionally and speedup only where the box
-actually has cores to spend (single-core CI runners prove nothing
-about a pool).
+The wall-clock budget of a full scan is a host-dependent upper bound,
+so it is enforced under ``-m perf`` in ``benchmarks/test_bench_lint.py``
+rather than here.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-import time
-from pathlib import Path
 
-import pytest
-
-from repro.analysis.engine import parse_files
 from repro.analysis.project import (
     MODULE_BODY,
     ProjectContext,
     module_name_for_path,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-SRC = REPO_ROOT / "src"
 
 
 def _build(files: dict[str, str]) -> ProjectContext:
@@ -221,42 +208,3 @@ class TestSubclassQuery:
         subs = project.subclasses_of(
             "repro.kernels.dispatch:KernelBackend")
         assert [klass.name for klass in subs] == ["NumpyB"]
-
-
-class TestParallelParsing:
-    def test_parallel_matches_serial(self):
-        paths = [SRC / "repro" / "analysis"]
-        serial = parse_files(paths, jobs=1)
-        parallel = parse_files(paths, jobs=4)
-        assert [p.path for p in serial] == [p.path for p in parallel]
-        assert all(
-            ast.dump(a.tree) == ast.dump(b.tree)
-            for a, b in zip(serial, parallel)
-            if a.tree is not None and b.tree is not None
-        )
-
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                        reason="speedup is only measurable with >1 core")
-    def test_parallel_is_faster_on_multicore(self):
-        paths = [SRC]
-        parse_files(paths, jobs=1)  # warm the page cache
-        start = time.perf_counter()
-        parse_files(paths, jobs=1)
-        serial_s = time.perf_counter() - start
-        start = time.perf_counter()
-        parse_files(paths, jobs=os.cpu_count())
-        parallel_s = time.perf_counter() - start
-        # Pool startup costs real time; demand better than break-even,
-        # not a perfect scaling curve.
-        assert parallel_s < serial_s * 1.1
-
-
-class TestFullProjectBudget:
-    def test_index_plus_rules_under_ten_seconds(self):
-        from repro.analysis import analyze_paths
-
-        start = time.perf_counter()
-        findings = analyze_paths([SRC], jobs=os.cpu_count() or 1)
-        elapsed = time.perf_counter() - start
-        assert findings == []
-        assert elapsed < 10.0, f"full src analysis took {elapsed:.1f}s"

@@ -438,7 +438,7 @@ class TestRJ008AdHocProcessPool:
                 return ProcessPoolExecutor(
                     max_workers=workers,
                     mp_context=multiprocessing.get_context("fork"))
-            """, "src/repro/runtime/sweep.py")
+            """, "src/repro/runtime/jobs.py")
 
     def test_tests_are_exempt(self):
         assert not _run("RJ008", """\

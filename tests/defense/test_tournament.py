@@ -128,8 +128,7 @@ class TestRunTournament:
 
     def test_resumed_tournament_is_byte_identical(self, tmp_path):
         journal = tmp_path / "defense.jsonl"
-        config = ResilienceConfig(checkpoint_path=str(journal),
-                                  resume=True)
+        config = ResilienceConfig(checkpoint_path=str(journal))
         policies = [ALWAYS_JAM, randomized_policy(0.5)]
         first = run_tournament(policies=policies, scenario=FAST,
                                n_trials=2, seed=9, resilience=config)

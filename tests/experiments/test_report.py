@@ -61,3 +61,19 @@ class TestReport:
             assert "written" in capsys.readouterr().out
         finally:
             report_mod.QUICK = original
+
+
+class TestResilienceFlags:
+    def test_no_flag_means_default_policy(self):
+        assert report_mod.resilience_from_args(["--quick"]) is None
+
+    def test_flags_set_only_their_fields(self):
+        config = report_mod.resilience_from_args(
+            ["--quick", "--resume=j.jsonl", "--max-retries=5"])
+        assert config.checkpoint_path == Path("j.jsonl")
+        assert config.max_attempts == 5
+        assert config.shard_deadline_s is None
+        assert config.quarantine_limit == 0
+        deadline = report_mod.resilience_from_args(["--shard-deadline=2.5"])
+        assert deadline.shard_deadline_s == 2.5
+        assert deadline.max_attempts == 3

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime.jobs import ShardCheckpoint, shard_key
-from repro.runtime.sweep import build_tasks
+from repro.runtime.jobs import ShardCheckpoint, build_tasks, shard_key
 
 # ----------------------------------------------------------------------
 # Strategies

@@ -14,15 +14,14 @@ from repro.runtime.jobs import (
     RUNS_COUNTER,
     ResilienceConfig,
     ResilientSweepRunner,
-    STRICT_RESILIENCE,
     ShardCheckpoint,
     SweepHealth,
     WorkerSupervisor,
+    build_tasks,
     last_sweep_health,
     resilient_sweep,
     shard_key,
 )
-from repro.runtime.sweep import build_tasks, sweep
 from repro.telemetry import Telemetry
 
 #: A fast retry policy so injected-failure tests don't sleep.
@@ -32,6 +31,14 @@ FAST = dict(backoff_base_s=0.0, backoff_cap_s=0.0)
 def _sum_noise(point, rng: np.random.Generator):
     """Module-level trial fn (workers pickle it by reference)."""
     return float(point) + float(np.sum(rng.standard_normal(64)))
+
+
+def _reference(fn, points, trials, seed_root):
+    """The seeding rule written out: trial (i, t) of the grid draws
+    from ``default_rng(seed_root + i*trials + t)``."""
+    return [[fn(p, np.random.default_rng(seed_root + i * trials + t))
+             for t in range(trials)]
+            for i, p in enumerate(points)]
 
 
 def _boom(point, rng):
@@ -61,8 +68,6 @@ class TestValidation:
             ResilienceConfig(shard_deadline_s=0.0)
         with pytest.raises(ConfigurationError):
             ResilienceConfig(quarantine_limit=-1)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(max_inflight_per_worker=0)
 
     def test_runner_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -78,19 +83,19 @@ class TestValidation:
 
 class TestIdentity:
     def test_serial_matches_plain_sweep(self):
-        reference = sweep(_sum_noise, [0.0, 1.0, 2.0], trials=5, seed_root=7)
+        reference = _reference(_sum_noise, [0.0, 1.0, 2.0], 5, 7)
         hardened = resilient_sweep(_sum_noise, [0.0, 1.0, 2.0], trials=5,
                                    seed_root=7)
         assert hardened == reference  # exact float equality
 
     def test_parallel_matches_plain_sweep(self):
-        reference = sweep(_sum_noise, [0.0, 1.0, 2.0], trials=4, seed_root=3)
+        reference = _reference(_sum_noise, [0.0, 1.0, 2.0], 4, 3)
         hardened = resilient_sweep(_sum_noise, [0.0, 1.0, 2.0], trials=4,
                                    seed_root=3, workers=2)
         assert hardened == reference
 
     def test_identity_survives_injected_serial_kills(self):
-        reference = sweep(_sum_noise, [0.0, 1.0], trials=4, seed_root=5)
+        reference = _reference(_sum_noise, [0.0, 1.0], 4, 5)
         plan = WorkerFaultPlan(seed=1).kill_shards([0, 1])
         hardened = resilient_sweep(
             _sum_noise, [0.0, 1.0], trials=4, seed_root=5,
@@ -189,14 +194,6 @@ class TestCheckpoint:
         assert warm.ok
         assert second == first
 
-    def test_resume_false_reexecutes_but_still_records(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        on = ResilienceConfig(checkpoint_path=journal, **FAST)
-        off = ResilienceConfig(checkpoint_path=journal, resume=False, **FAST)
-        resilient_sweep(_sum_noise, [0.0], trials=2, seed_root=1, config=on)
-        resilient_sweep(_sum_noise, [0.0], trials=2, seed_root=1, config=off)
-        assert last_sweep_health().checkpoint_hits == 0
-
     def test_different_grid_misses_the_journal(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         config = ResilienceConfig(checkpoint_path=journal, **FAST)
@@ -214,7 +211,7 @@ class TestCheckpoint:
         # Simulate a torn write: truncate the last journal line mid-payload.
         lines = journal.read_text().splitlines()
         journal.write_text("\n".join(lines[:-1] + [lines[-1][:40]]) + "\n")
-        reference = sweep(_sum_noise, [0.0, 1.0], trials=2, seed_root=2)
+        reference = _reference(_sum_noise, [0.0, 1.0], 2, 2)
         resumed = resilient_sweep(_sum_noise, [0.0, 1.0], trials=2,
                                   seed_root=2, chunk_size=2, config=config)
         health = last_sweep_health()
@@ -246,6 +243,16 @@ class TestShardKey:
         assert shard_key(_boom, tasks) != shard_key(_sum_noise, tasks)
         other = build_tasks([1.0, 2.0], 2, 8)  # different seeds
         assert shard_key(_sum_noise, other) != shard_key(_sum_noise, tasks)
+
+    def test_journal_key_is_pinned(self):
+        # A journal written before any refactor must still replay: the
+        # key of a real experiment shard may never drift.
+        from repro.experiments.detection import _xcorr_trial
+
+        tasks = build_tasks([1.0, 2.0], 2, 7)
+        assert shard_key(_xcorr_trial, tasks) == (
+            "380f98108f4c666dcffc4f48ff1e16c8"
+            "a759176a6562c2f203ecfda19f806d18")
 
     def test_pickle_fallback_for_opaque_points(self):
         tasks = build_tasks([_Opaque(1)], 1, 0)
@@ -281,22 +288,10 @@ class TestHealthAndTelemetry:
         assert counters[RETRIES_COUNTER] == 1
         assert counters.get(CHECKPOINT_HITS_COUNTER, 0) == 0
 
-    def test_progress_reports_replayed_and_live_tasks(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        config = ResilienceConfig(checkpoint_path=journal, **FAST)
-        resilient_sweep(_sum_noise, [0.0, 1.0], trials=2, seed_root=6,
-                        chunk_size=2, config=config)
-        seen = []
-        resilient_sweep(_sum_noise, [0.0, 1.0], trials=2, seed_root=6,
-                        chunk_size=2, config=config,
-                        progress=lambda done, total: seen.append((done, total)))
-        assert seen[-1] == (4, 4)
-        assert [d for d, _ in seen] == sorted(d for d, _ in seen)
-
 
 class TestPooledSupervision:
     def test_real_worker_kill_recovers_byte_identical(self):
-        reference = sweep(_sum_noise, [0.0, 1.0, 2.0], trials=4, seed_root=13)
+        reference = _reference(_sum_noise, [0.0, 1.0, 2.0], 4, 13)
         plan = WorkerFaultPlan(seed=3).kill_shards([0])
         hardened = resilient_sweep(
             _sum_noise, [0.0, 1.0, 2.0], trials=4, seed_root=13, workers=2,
@@ -309,7 +304,7 @@ class TestPooledSupervision:
         assert hardened == reference
 
     def test_hung_worker_detected_and_shard_retried(self):
-        reference = sweep(_sum_noise, [0.0, 1.0], trials=2, seed_root=17)
+        reference = _reference(_sum_noise, [0.0, 1.0], 2, 17)
         plan = WorkerFaultPlan(seed=5).hang_workers(
             1.0, duration_s=20.0, shard_indices=[0])
         hardened = resilient_sweep(
@@ -326,4 +321,10 @@ class TestPooledSupervision:
 
 class TestStrictDefault:
     def test_strict_policy_never_quarantines(self):
-        assert STRICT_RESILIENCE.quarantine_limit == 0
+        assert ResilienceConfig().quarantine_limit == 0
+
+    def test_always_failing_trial_fails_the_sweep(self):
+        with pytest.raises(WorkerCrashError) as excinfo:
+            resilient_sweep(_boom, [1.0], config=ResilienceConfig(**FAST))
+        assert excinfo.value.trial_indices == (0,)
+        assert last_sweep_health().shard_attempts[0] == 3
