@@ -351,14 +351,17 @@ class ReactiveJammer:
                                  and self.telemetry.enabled) else None
         run_start_ns = tel.timebase.host_now_ns() if tel is not None else 0
         health = HealthReport()
-        tx_parts: list[np.ndarray] = []
+        # The run owns its transmit waveform: each chunk's samples are
+        # written into its span, and a skipped chunk's span stays zero.
+        tx = np.zeros(rx_signal.size, dtype=np.complex128)
         detections: list[DetectionEvent] = []
         jams: list[JamEvent] = []
         for index, start in enumerate(range(0, rx_signal.size, chunk_size)):
-            chunk = rx_signal[start:start + chunk_size]
+            stop = start + chunk_size
+            chunk = rx_signal[start:stop]
             chunk_clock = self.device.core.clock if tel is not None else 0
             try:
-                out = self.device.process(chunk)
+                out = self.device.process(chunk, tx_out=tx[start:stop])
             except StreamError as exc:
                 if degradation is DegradationPolicy.FAIL_FAST:
                     raise
@@ -366,14 +369,12 @@ class ReactiveJammer:
                 health.samples_skipped += chunk.size
                 health.stream_errors.append(str(exc))
                 self.device.skip(chunk.size)
-                tx_parts.append(np.zeros(chunk.size, dtype=np.complex128))
                 if tel is not None:
                     tel.tracer.instant("run.chunk_skipped", CAT_RUN,
                                        chunk_clock, index=index,
                                        error=str(exc))
             else:
                 health.chunks_processed += 1
-                tx_parts.append(out.tx)
                 detections.extend(out.detections)
                 jams.extend(out.jams)
                 if tel is not None:
@@ -391,8 +392,6 @@ class ReactiveJammer:
             self._record_run_metrics(tel, health, detections, jams,
                                      rx_signal.size, run_start_ns)
             health.metrics = tel.metrics.snapshot()
-        tx = np.concatenate(tx_parts) if tx_parts \
-            else np.zeros(0, dtype=np.complex128)
         return JammingReport(tx=tx, detections=detections, jams=jams,
                              health=health)
 

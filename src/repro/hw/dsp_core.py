@@ -97,14 +97,16 @@ class CustomDspCore:
         #: Optional in-fabric watchdog (duty guard, re-arm timeout,
         #: safe state).  ``None`` reproduces the unguarded core.
         self.watchdog = watchdog
-        #: The one-bank correlator the paper's legacy coefficient and
-        #: threshold registers program.
-        self.correlator = CrossCorrelator()
-        #: The K-bank correlator the bank registers program.  Dormant
-        #: until ``REG_BANK_COUNT`` selects K >= 1, at which point it
-        #: replaces ``correlator`` on the data path.  Each keeps its
-        #: own sign history and carries across a mode switch.
-        self.banked = CrossCorrelator()
+        # The two correlators behind the ``correlator`` and ``banked``
+        # properties; the same instances for the core's lifetime.
+        self._correlator = CrossCorrelator()
+        self._banked = CrossCorrelator()
+        # Coefficient words latch: a write stores its word and marks
+        # the legacy correlator or its live bank stale, and the stale
+        # words are loaded once, before the next chunk or the next read
+        # of either correlator (``_apply_latched_words``).
+        self._legacy_words_stale = False
+        self._stale_banks: set[int] = set()
         #: Host-side protocol names for the banked correlator; strings
         #: cannot cross the register bus, so the host (driver) sets
         #: them directly before programming the bank count.
@@ -147,9 +149,9 @@ class CustomDspCore:
     def _wire_registers(self) -> None:
         for offset in range(regmap.COEFF_WORDS):
             self.bus.watch(regmap.REG_COEFF_I_BASE + offset,
-                           lambda _v: self._reload_coefficients())
+                           self._latch_legacy_word)
             self.bus.watch(regmap.REG_COEFF_Q_BASE + offset,
-                           lambda _v: self._reload_coefficients())
+                           self._latch_legacy_word)
         self.bus.watch(regmap.REG_XCORR_THRESHOLD, self._set_xcorr_threshold)
         self.bus.watch(regmap.REG_ENERGY_THRESHOLD_HIGH,
                        self._set_energy_high)
@@ -200,6 +202,26 @@ class CustomDspCore:
                 self.watchdog.clear_illegal(address)
         return wrapped
 
+    def _latch_legacy_word(self, _value: int) -> None:
+        # The bus holds the word; the correlator loads it when applied.
+        self._legacy_words_stale = True
+
+    def _apply_latched_words(self) -> None:
+        """Load the coefficient words written since the last apply.
+
+        One ``prepare_coefficients`` per stale correlator bank, however
+        many of its 14 words were written.  A no-op when nothing is
+        pending, which is every chunk outside a reprogramming.
+        """
+        if self._legacy_words_stale:
+            self._legacy_words_stale = False
+            self._reload_coefficients()
+        if self._stale_banks:
+            stale, self._stale_banks = self._stale_banks, set()
+            for index in sorted(stale):
+                coeffs_i, coeffs_q = self._unpacked_bank(index)
+                self._banked.load_bank(index, coeffs_i, coeffs_q)
+
     def _reload_coefficients(self) -> None:
         words_i = [self.bus.read(regmap.REG_COEFF_I_BASE + k)
                    for k in range(regmap.COEFF_WORDS)]
@@ -209,7 +231,8 @@ class CustomDspCore:
                                         regmap.CORRELATOR_LENGTH)
         coeffs_q = unpack_signed_fields(words_q, regmap.COEFF_BITS,
                                         regmap.CORRELATOR_LENGTH)
-        self.correlator.load_coefficients(np.array(coeffs_i), np.array(coeffs_q))
+        self._correlator.load_coefficients(np.array(coeffs_i),
+                                           np.array(coeffs_q))
 
     def _unpacked_bank(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         coeffs_i = unpack_signed_fields(self._bank_words_i[index],
@@ -226,14 +249,17 @@ class CustomDspCore:
             raise ConfigurationError(
                 f"bank count must be 0..{regmap.MAX_BANKS}, got {count}"
             )
+        # Every live bank is (re)loaded from its shadow words below,
+        # so nothing latched is left to apply.
+        self._stale_banks.clear()
         if count == 0:
             # Back to the legacy correlator; the shadows
             # keep their contents for a later re-enable.
             self._bank_count = 0
             return
         banks = [self._unpacked_bank(k) for k in range(count)]
-        self.banked.load_banks(banks, self._bank_thresholds[:count],
-                               labels=self.bank_labels[:count])
+        self._banked.load_banks(banks, self._bank_thresholds[:count],
+                                labels=self.bank_labels[:count])
         self._bank_count = count
 
     def _set_bank_select(self, value: int) -> None:
@@ -247,23 +273,23 @@ class CustomDspCore:
     def _bank_coeff_watch(self, words, offset):
         """Latch a windowed coefficient word into the selected bank.
 
-        A write targeting a *live* bank hot-swaps it immediately — the
-        new template takes effect on the next processed chunk, with
-        the sign history and trigger carries intact.
+        A write targeting a *live* bank marks it stale: the new
+        template takes effect on the next processed chunk (and is what
+        ``banked`` reports at once), with the sign history and trigger
+        carries intact.
         """
         def handler(value: int) -> None:
             index = self._bank_select
             words[index][offset] = int(value)
             if index < self._bank_count:
-                coeffs_i, coeffs_q = self._unpacked_bank(index)
-                self.banked.load_bank(index, coeffs_i, coeffs_q)
+                self._stale_banks.add(index)
         return handler
 
     def _bank_threshold_watch(self, index):
         def handler(value: int) -> None:
             self._bank_thresholds[index] = int(value)
             if index < self._bank_count:
-                self.banked.set_threshold(index, int(value))
+                self._banked.set_threshold(index, int(value))
         return handler
 
     def set_bank_label(self, index: int, label: str) -> None:
@@ -274,10 +300,10 @@ class CustomDspCore:
             )
         self.bank_labels[index] = str(label)
         if index < self._bank_count:
-            self.banked.set_label(index, label)
+            self._banked.set_label(index, label)
 
     def _set_xcorr_threshold(self, value: int) -> None:
-        self.correlator.threshold = value
+        self._correlator.threshold = value
 
     def _set_energy_high(self, value: int) -> None:
         self.energy.threshold_high_db = regmap.decode_energy_threshold_db(value)
@@ -331,7 +357,9 @@ class CustomDspCore:
         continuous = bool(value & regmap.FLAG_CONTINUOUS)
         if continuous and self._continuous_since is None:
             self._continuous_since = self._clock
-        if not continuous:
+        if not continuous and self._continuous_since is not None:
+            # The always-on burst ends; its noise stream goes with it.
+            self.tx.release_interval(self._continuous_burst(self._clock))
             self._continuous_since = None
         self._antenna_bits = (value & regmap.ANTENNA_MASK) >> regmap.ANTENNA_SHIFT
 
@@ -357,6 +385,25 @@ class CustomDspCore:
     def clock(self) -> int:
         """Absolute index of the next sample to be processed."""
         return self._clock
+
+    @property
+    def correlator(self) -> CrossCorrelator:
+        """The one-bank correlator the paper's legacy coefficient and
+        threshold registers program, latched words applied."""
+        self._apply_latched_words()
+        return self._correlator
+
+    @property
+    def banked(self) -> CrossCorrelator:
+        """The K-bank correlator the bank registers program, latched
+        words applied.
+
+        Dormant until ``REG_BANK_COUNT`` selects K >= 1, at which point
+        it replaces ``correlator`` on the data path.  Each keeps its
+        own sign history and carries across a mode switch.
+        """
+        self._apply_latched_words()
+        return self._banked
 
     @property
     def bank_count(self) -> int:
@@ -404,8 +451,8 @@ class CustomDspCore:
 
     def reset(self) -> None:
         """Hardware reset: clears all block state but keeps registers."""
-        self.correlator.reset()
-        self.banked.reset()
+        self._correlator.reset()
+        self._banked.reset()
         self.energy.reset()
         self.fsm.reset()
         self.tx.reset()
@@ -422,8 +469,8 @@ class CustomDspCore:
     # ------------------------------------------------------------------
     # Data path
 
-    def process(self, rx_chunk: np.ndarray, *,
-                quantized: bool = False) -> CoreOutput:
+    def process(self, rx_chunk: np.ndarray, *, quantized: bool = False,
+                tx_out: np.ndarray | None = None) -> CoreOutput:
         """Run one received chunk through detection and jamming control.
 
         ``rx_chunk`` is complex baseband at 25 MSPS; it is quantized to
@@ -433,6 +480,10 @@ class CustomDspCore:
         ``quantized=True`` to skip the redundant re-quantize copy.
         Returns the transmit waveform aligned to the same sample span
         plus all events.
+
+        ``tx_out``, a zero-filled complex128 buffer of the chunk's
+        length, is where the transmit waveform is written; it comes
+        back as ``CoreOutput.tx``.  Without it the core allocates one.
         """
         if quantized:
             rx_chunk = np.asarray(rx_chunk)
@@ -442,8 +493,13 @@ class CustomDspCore:
             raise StreamError("CustomDspCore expects a 1-D complex chunk")
         chunk_start = self._clock
         n = rx_chunk.size
+        if tx_out is None:
+            tx_out = np.zeros(n, dtype=np.complex128)
+        elif tx_out.shape != (n,) or tx_out.dtype != np.complex128:
+            raise StreamError(
+                f"tx_out must be a complex128 buffer of {n} samples")
         if n == 0:
-            return CoreOutput(tx=np.zeros(0, dtype=np.complex128))
+            return CoreOutput(tx=tx_out)
         samples = rx_chunk if quantized else quantize_iq16(rx_chunk)
 
         if self.watchdog is not None:
@@ -451,10 +507,11 @@ class CustomDspCore:
 
         # REG_BANK_COUNT picks the register file whose correlator runs;
         # the correlator owns its per-bank trigger carries.
+        self._apply_latched_words()
         if self._bank_count:
-            correlator, protocols = self.banked, self.banked.labels
+            correlator, protocols = self._banked, self._banked.labels
         else:
-            correlator, protocols = self.correlator, _LEGACY_PROTOCOLS
+            correlator, protocols = self._correlator, _LEGACY_PROTOCOLS
         profiler = self.profiler
         if profiler is None:
             _trig, xcorr_edges = correlator.detect(samples)
@@ -491,7 +548,7 @@ class CustomDspCore:
         self.jam_count += len(new_intervals)
         self._active_intervals.extend(new_intervals)
 
-        tx_chunk = self._synthesize_tx(chunk_start, n)
+        self._synthesize_tx(chunk_start, tx_out)
         jams = [JamEvent(trigger_time=iv.trigger_time, start=iv.start,
                          end=iv.end, waveform=iv.waveform)
                 for iv in new_intervals]
@@ -504,7 +561,7 @@ class CustomDspCore:
                 )
         self._clock += n
         self._retire_intervals()
-        return CoreOutput(tx=tx_chunk, detections=detections, jams=jams)
+        return CoreOutput(tx=tx_out, detections=detections, jams=jams)
 
     def skip(self, n: int) -> None:
         """Advance the sample clock over ``n`` samples that were lost.
@@ -521,8 +578,8 @@ class CustomDspCore:
         self._clock += n
         self._last_ehigh = False
         self._last_elow = False
-        self.correlator.clear_last()
-        self.banked.clear_last()
+        self._correlator.clear_last()
+        self._banked.clear_last()
         self._retire_intervals()
 
     def _collect_detections(self, chunk_start: int,
@@ -614,30 +671,33 @@ class CustomDspCore:
             self.tx.observe_rx(quantized[fed:])
         return intervals
 
-    def _synthesize_tx(self, chunk_start: int, n: int) -> np.ndarray:
-        tx_chunk = np.zeros(n, dtype=np.complex128)
+    def _continuous_burst(self, end: int) -> JamInterval:
+        """The always-on WGN burst, from when the flag was set to ``end``."""
+        since = self._continuous_since
+        return JamInterval(trigger_time=since, start=since, end=end,
+                           waveform=JamWaveform.WGN)
+
+    def _synthesize_tx(self, chunk_start: int, tx: np.ndarray) -> None:
+        """Write the chunk's jamming samples into ``tx`` (zero on entry).
+
+        Bursts never overlap (the controller ignores triggers while
+        one is pending), so adding each into the zeroed buffer places
+        it; WGN holds no -0.0, so the continuous burst's add is the
+        plain write it always was.
+        """
         if self.watchdog is not None and self.watchdog.safe_state:
-            return tx_chunk  # safe state: nothing leaves the DUC
+            return  # safe state: nothing leaves the DUC
+        n = tx.size
         if self._continuous_since is not None and self._tx_allowed:
             allowed = n
             if self.watchdog is not None:
                 allowed = self.watchdog.continuous_allowance(chunk_start, n)
-            if allowed == 0:
-                return tx_chunk
-            burst = JamInterval(
-                trigger_time=self._continuous_since,
-                start=self._continuous_since,
-                end=chunk_start + allowed,
-                waveform=JamWaveform.WGN,
-            )
-            offset, wave = self.tx.synthesize(burst, chunk_start, n)
-            tx_chunk[offset:offset + wave.size] = wave
-            return tx_chunk
+            if allowed:
+                burst = self._continuous_burst(chunk_start + allowed)
+                self.tx.synthesize(burst, chunk_start, n, out=tx)
+            return
         for interval in self._active_intervals:
-            offset, wave = self.tx.synthesize(interval, chunk_start, n)
-            if wave.size:
-                tx_chunk[offset:offset + wave.size] += wave
-        return tx_chunk
+            self.tx.synthesize(interval, chunk_start, n, out=tx)
 
     def _retire_intervals(self) -> None:
         still_active: list[JamInterval] = []

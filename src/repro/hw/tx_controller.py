@@ -16,7 +16,11 @@ initiate plus ~7 to populate the DUC), i.e. 80 ns — the paper's T_init.
 The controller operates on absolute sample timestamps so the
 surrounding core can run vectorized: triggers come in as timestamps,
 jam intervals go out as ``(start, end)`` spans, and the waveform for a
-chunk is synthesized only where intervals overlap the chunk.
+chunk is synthesized only where intervals overlap the chunk — written
+straight into the caller's transmit buffer when it passes one.  Each
+WGN burst keeps one noise generator for its whole life, so a burst
+spanning many chunks (continuous jamming included) draws every sample
+once.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ MAX_REPLAY_LENGTH = 512
 #: 2^30 samples.
 MAX_UPTIME_SAMPLES = 2 ** 32 // units.CLOCKS_PER_SAMPLE
 
+#: Most WGN samples drawn and dropped in one call when a burst's stream
+#: skips ahead, so a long gap never allocates more than 1 MiB.
+_SKIP_BLOCK_SAMPLES = 1 << 16
+
 
 class JamWaveform(enum.IntEnum):
     """Waveform presets, encoded as the 2-bit register field."""
@@ -67,6 +75,17 @@ class JamInterval:
     waveform: JamWaveform
 
 
+class _WgnStream:
+    """One burst's noise generator and how far it has been drawn."""
+
+    __slots__ = ("seed", "rng", "drawn")
+
+    def __init__(self, seed: int, interval_start: int) -> None:
+        self.seed = seed
+        self.rng = np.random.default_rng((seed, interval_start))
+        self.drawn = 0  # burst samples drawn so far
+
+
 class TransmitController:
     """Schedules jam bursts and synthesizes the jamming waveform."""
 
@@ -82,10 +101,15 @@ class TransmitController:
         self._wgn_seed = int(wgn_seed)
         self.continuous = False
         self._busy_until = -1
-        self._rx_history = np.zeros(0, dtype=np.complex128)
+        # The replay capture: the last ``_captured`` received samples,
+        # right-aligned in one fixed array updated in place.
+        self._capture = np.zeros(MAX_REPLAY_LENGTH, dtype=np.complex128)
+        self._captured = 0
         self._host_waveform = np.zeros(0, dtype=np.complex128)
         # Waveform snapshots per active interval, keyed by interval start.
         self._interval_sources: dict[int, np.ndarray] = {}
+        # Live WGN streams per burst, keyed by burst start.
+        self._wgn_streams: dict[int, _WgnStream] = {}
 
     # ------------------------------------------------------------------
     # Configuration
@@ -166,8 +190,9 @@ class TransmitController:
     def reset(self) -> None:
         """Abort any active burst and clear capture history."""
         self._busy_until = -1
-        self._rx_history = np.zeros(0, dtype=np.complex128)
+        self._captured = 0
         self._interval_sources.clear()
+        self._wgn_streams.clear()
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -194,25 +219,32 @@ class TransmitController:
                 self._interval_sources[start] = self._capture_replay()
         return intervals
 
+    @property
+    def _rx_history(self) -> np.ndarray:
+        """The captured samples, oldest first (a view of the capture)."""
+        return self._capture[MAX_REPLAY_LENGTH - self._captured:]
+
     def _capture_replay(self) -> np.ndarray:
         """Snapshot the most recent received samples for replay."""
-        if self._rx_history.size == 0:
+        if self._captured == 0:
             return np.zeros(1, dtype=np.complex128)
         return self._rx_history[-self._replay_length:].copy()
 
     def observe_rx(self, rx_chunk: np.ndarray) -> None:
         """Feed received samples into the replay capture buffer.
 
-        Only the samples that survive are copied: the chunk's last
-        ``MAX_REPLAY_LENGTH`` and as much of the old history as still
-        fits in front of them.
+        The capture shifts left by the chunk's surviving tail (at most
+        ``MAX_REPLAY_LENGTH`` samples) and the tail lands at its end.
         """
         rx_chunk = np.asarray(rx_chunk, dtype=np.complex128)
         if rx_chunk.size == 0:
             return
         tail = rx_chunk[-MAX_REPLAY_LENGTH:]
-        start = max(self._rx_history.size + tail.size - MAX_REPLAY_LENGTH, 0)
-        self._rx_history = np.concatenate([self._rx_history[start:], tail])
+        keep = MAX_REPLAY_LENGTH - tail.size
+        if keep:
+            self._capture[:keep] = self._capture[tail.size:]
+        self._capture[keep:] = tail
+        self._captured = min(self._captured + tail.size, MAX_REPLAY_LENGTH)
 
     # ------------------------------------------------------------------
     # Waveform synthesis
@@ -221,50 +253,89 @@ class TransmitController:
         """Deterministic WGN: a per-burst stream seeded from the burst start.
 
         Seeding from ``(seed, interval_start)`` makes the synthesized
-        waveform independent of how the timeline is chunked.
+        waveform independent of how the timeline is chunked.  The
+        burst's generator carries over between calls: a request that
+        starts where the last one ended just continues it, one further
+        ahead draws and drops the gap, and only one behind it (or a
+        changed seed) starts the stream over.
         """
-        rng = np.random.default_rng((self._wgn_seed, interval_start))
-        if offset:
-            rng.standard_normal(2 * offset)  # advance the stream
+        stream = self._wgn_streams.get(interval_start)
+        if stream is None or stream.seed != self._wgn_seed \
+                or offset < stream.drawn:
+            stream = _WgnStream(self._wgn_seed, interval_start)
+            self._wgn_streams[interval_start] = stream
+        rng = stream.rng
+        gap = offset - stream.drawn
+        while gap:  # advance the stream over samples never sent
+            step = min(gap, _SKIP_BLOCK_SAMPLES)
+            rng.standard_normal(2 * step)
+            gap -= step
         pairs = rng.standard_normal(2 * count)
+        stream.drawn = offset + count
         samples = (pairs[0::2] + 1j * pairs[1::2]) / np.sqrt(2.0)
         return samples
 
+    def _add_cycled(self, source: np.ndarray, offset: int,
+                    out: np.ndarray) -> None:
+        """Add ``source`` cycled from ``offset``, times amplitude, to ``out``.
+
+        Wraps by slices: a head up to the end of ``source``, whole
+        periods as one broadcast add, then a tail.
+        """
+        amplitude = self._amplitude
+        size = source.size
+        start = offset % size
+        head = min(size - start, out.size)
+        out[:head] += source[start:start + head] * amplitude
+        periods, tail = divmod(out.size - head, size)
+        if periods:
+            # Splitting the one axis of a 1-D view is always a view.
+            grid = out[head:head + periods * size].reshape(periods, size)
+            grid += source * amplitude
+        if tail:
+            out[out.size - tail:] += source[:tail] * amplitude
+
     def synthesize(self, interval: JamInterval, chunk_start: int,
-                   chunk_length: int) -> tuple[int, np.ndarray]:
+                   chunk_length: int, out: np.ndarray | None = None
+                   ) -> tuple[int, np.ndarray]:
         """Waveform samples where ``interval`` overlaps the chunk.
 
-        Returns ``(local_offset, samples)``; ``samples`` may be empty
-        when there is no overlap.
+        Returns ``(local_offset, samples)``; ``samples`` is empty when
+        there is no overlap.  Without ``out`` the samples are new
+        storage.  ``out`` is the chunk's transmit buffer, zero where
+        no burst has been written: the samples are added into
+        ``out[local_offset:local_offset + count]`` in place and that
+        view is returned.
         """
         lo = max(interval.start, chunk_start)
         hi = min(interval.end, chunk_start + chunk_length)
         if hi <= lo:
             return 0, np.zeros(0, dtype=np.complex128)
+        local = lo - chunk_start
         offset_in_burst = lo - interval.start
         count = hi - lo
-        if interval.waveform is JamWaveform.WGN:
-            wave = self._wgn_samples(interval.start, offset_in_burst, count)
-        elif interval.waveform is JamWaveform.REPLAY:
-            source = self._interval_sources.get(
-                interval.start, np.zeros(1, dtype=np.complex128)
-            )
-            idx = (offset_in_burst + np.arange(count)) % source.size
-            wave = source[idx]
+        if out is None:
+            wave = np.zeros(count, dtype=np.complex128)
         else:
-            if self._host_waveform.size == 0:
-                # An empty host transmit buffer radiates silence, as
-                # an un-filled hardware FIFO would — never a crash.
-                wave = np.zeros(count, dtype=np.complex128)
-            else:
-                idx = (offset_in_burst
-                       + np.arange(count)) % self._host_waveform.size
-                wave = self._host_waveform[idx]
-        return lo - chunk_start, wave * self._amplitude
+            wave = out[local:local + count]
+        if interval.waveform is JamWaveform.WGN:
+            noise = self._wgn_samples(interval.start, offset_in_burst, count)
+            noise *= self._amplitude
+            wave += noise
+        elif interval.waveform is JamWaveform.REPLAY:
+            source = self._interval_sources.get(interval.start)
+            if source is not None:
+                self._add_cycled(source, offset_in_burst, wave)
+        # An empty host transmit buffer radiates silence, as an
+        # un-filled hardware FIFO would — never a crash.
+        elif self._host_waveform.size:
+            self._add_cycled(self._host_waveform, offset_in_burst, wave)
+        return local, wave
 
     def release_interval(self, interval: JamInterval) -> None:
-        """Drop the replay snapshot of a finished burst."""
+        """Drop the replay snapshot and noise stream of a finished burst."""
         self._interval_sources.pop(interval.start, None)
+        self._wgn_streams.pop(interval.start, None)
 
     def cancel_interval(self, interval: JamInterval) -> None:
         """Abort a just-scheduled burst before any sample is emitted.
@@ -274,5 +345,6 @@ class TransmitController:
         stay busy for a burst that never airs.
         """
         self._interval_sources.pop(interval.start, None)
+        self._wgn_streams.pop(interval.start, None)
         if self._busy_until == interval.end:
             self._busy_until = interval.trigger_time

@@ -124,12 +124,15 @@ class UsrpN210:
         """
         self.duc.tx_gain_db = gain_db
 
-    def process(self, rx_chunk: np.ndarray) -> CoreOutput:
+    def process(self, rx_chunk: np.ndarray,
+                tx_out: np.ndarray | None = None) -> CoreOutput:
         """Run one received chunk through RX -> core -> TX.
 
         ``rx_chunk`` is the complex baseband arriving at the antenna
         port (post channel).  The returned :class:`CoreOutput` carries
-        the antenna-port transmit waveform for the same sample span.
+        the antenna-port transmit waveform for the same sample span,
+        written into ``tx_out`` (a zero-filled complex128 buffer of
+        the chunk's length) when one is passed, else into a new array.
         """
         rx_chunk = np.asarray(rx_chunk, dtype=np.complex128)
         self._faults_consumed = 0
@@ -140,14 +143,22 @@ class UsrpN210:
         # told not to re-quantize (no second pass over the chunk).
         if self.profiler is None:
             baseband = self.ddc.process(rx_chunk)
-            output = self.core.process(baseband, quantized=True)
-            output.tx = self.duc.process(output.tx)
+            output = self.core.process(baseband, quantized=True,
+                                       tx_out=tx_out)
+            tx = self.duc.process(output.tx)
         else:
             with self.profiler.profile("ddc"):
                 baseband = self.ddc.process(rx_chunk)
-            output = self.core.process(baseband, quantized=True)
+            output = self.core.process(baseband, quantized=True,
+                                       tx_out=tx_out)
             with self.profiler.profile("duc"):
-                output.tx = self.duc.process(output.tx)
+                tx = self.duc.process(output.tx)
+        if tx_out is not None and tx is not tx_out:
+            # Unity gain hands the buffer back; any other gain scaled
+            # a copy, which lands in the caller's buffer.
+            tx_out[:] = tx
+            tx = tx_out
+        output.tx = tx
         self._faults_consumed = 0
         return output
 
@@ -175,24 +186,15 @@ class UsrpN210:
         if chunk_size < 1:
             raise ConfigurationError("chunk_size must be >= 1")
         rx_signal = np.asarray(rx_signal, dtype=np.complex128)
-        # The data path is length-preserving chunk by chunk, so the
-        # whole transmit waveform is written into one preallocated
-        # array instead of a per-chunk list merged at the end.
+        # The data path is length-preserving chunk by chunk, so every
+        # chunk writes its transmit samples into its span of one
+        # run-owned array.
         tx = np.zeros(rx_signal.size, dtype=np.complex128)
         detections = []
         jams = []
-        filled = 0
         for start in range(0, rx_signal.size, chunk_size):
-            out = self.process(rx_signal[start:start + chunk_size])
-            end = filled + out.tx.size
-            if end > tx.size:  # defensive: a stage grew the chunk
-                tx = np.concatenate([tx[:filled], out.tx])
-                end = tx.size
-            else:
-                tx[filled:end] = out.tx
-            filled = end
+            stop = start + chunk_size
+            out = self.process(rx_signal[start:stop], tx_out=tx[start:stop])
             detections.extend(out.detections)
             jams.extend(out.jams)
-        if filled != tx.size:
-            tx = tx[:filled]
         return CoreOutput(tx=tx, detections=detections, jams=jams)
