@@ -13,7 +13,7 @@ import numpy as np
 from repro import units
 from repro.channel.awgn import awgn
 from repro.hw.energy_differentiator import EnergyDifferentiator
-from repro.hw.trigger import rising_edges
+from repro.kernels import edge_mask
 
 WINDOWS = [8, 16, 32, 64]
 N_FRAMES = 200
@@ -33,12 +33,12 @@ def _measure(window: int, snr_db: float, rng) -> dict:
     det = EnergyDifferentiator(threshold_high_db=10.0,
                                threshold_low_db=10.0,
                                window=window, delay=2 * window)
-    det.process(awgn(8 * window, 1.0, rng))  # consume cold start
+    det.detect(awgn(8 * window, 1.0, rng))  # consume cold start
     for _ in range(N_FRAMES):
         block = awgn(GUARD + 1500, 1.0, rng)
         block[GUARD:] += scale * awgn(1500, 1.0, rng)
-        high, _low = det.process(block)
-        edges = rising_edges(high)
+        high, _low = det.detect(block)
+        edges = np.flatnonzero(edge_mask(high, False))
         edges = edges[edges >= GUARD]
         if edges.size:
             detected += 1

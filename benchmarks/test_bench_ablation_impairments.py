@@ -24,7 +24,7 @@ from repro.experiments.detection import (
 )
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
 from repro.hw.impairments import TYPICAL_N210, FrontEndImpairments
-from repro.hw.trigger import rising_edges
+from repro.kernels import edge_mask
 from repro.phy.wifi.preamble import long_training_symbol
 
 SNRS_DB = [0.0, 3.0, 6.0, 12.0, 20.0]
@@ -63,8 +63,8 @@ def _detection_with_impairments(impairments: FrontEndImpairments | None,
             block[GUARD:] += frame * (scale * phase)
             if impairments is not None:
                 block = impairments.apply(block)
-            (trig,) = correlator.process(block)
-            edges = rising_edges(trig, last)
+            (trig,) = correlator.detect(block)
+            edges = np.flatnonzero(edge_mask(trig, last))
             last = bool(trig[-1])
             if edges[edges >= GUARD].size:
                 hits += 1

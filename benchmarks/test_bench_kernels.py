@@ -27,11 +27,11 @@ from repro.channel.awgn import awgn
 from repro.core.coeffs import wifi_long_preamble_template
 from repro.experiments.detection import (
     _CurveTrialSpec,
-    _count_frames_looped,
     _xcorr_trial,
     threshold_for_false_alarm_rate,
 )
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
+from tests.experiments.oracles import count_frames_looped
 
 #: Wall-clock floor for the fused metric vs the seed's four passes.
 MIN_FUSED_SPEEDUP = 2.0
@@ -142,8 +142,8 @@ def test_bench_batched_trial_vs_seed_loop(kernels_record):
 
     def run_seed_loop():
         seed = _SeedCorrelator(ci, cq, threshold)
-        return _count_frames_looped(spec, seed.process,
-                                    np.random.default_rng(TRIAL_SEED))
+        return count_frames_looped(spec, seed.process,
+                                   np.random.default_rng(TRIAL_SEED))
 
     def run_batched():
         return _xcorr_trial(spec, np.random.default_rng(TRIAL_SEED))

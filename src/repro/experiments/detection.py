@@ -39,12 +39,7 @@ from repro.core.coeffs import (
 from repro.dsp.resample import resample
 from repro.errors import ConfigurationError
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
-from repro.hw.energy_differentiator import (
-    DEFAULT_DELAY,
-    DEFAULT_WINDOW,
-    EnergyDifferentiator,
-)
-from repro.hw.trigger import rising_edges
+from repro.hw.energy_differentiator import DEFAULT_DELAY, DEFAULT_WINDOW
 from repro.kernels import (
     energy_detect_batch,
     prepare_coefficients,
@@ -126,7 +121,7 @@ def measured_false_alarm_rate(correlator: CrossCorrelator, duration_s: float,
     chained batch kernel as a ``rows x _FA_ROW_SAMPLES`` block, with
     the sign history and last-trigger state carried across chunks —
     byte-identical to streaming the same noise through
-    ``correlator.process`` from reset state.
+    ``correlator.detect`` from reset state.
     """
     total_samples = int(duration_s * units.BASEBAND_RATE)
     prepared = correlator.prepared_coefficients
@@ -224,8 +219,8 @@ def _count_frames(spec: _CurveTrialSpec, rng: np.random.Generator
     one through the streaming detectors (the chained edge extraction
     can differ from the per-frame loop only at column 0 of a row,
     which lies inside the guard gap and is excluded from the in-frame
-    window).  :func:`_count_frames_looped` keeps the streaming
-    reference alive for the identity tests and benchmarks.
+    window).  The per-frame streaming loop lives on in the tests as the
+    oracle this engine is checked against.
     """
     arrivals = _frame_arrivals(spec.frame_kind, spec.frame_seed)
     scale = np.sqrt(units.db_to_linear(spec.snr_db))
@@ -237,7 +232,7 @@ def _count_frames(spec: _CurveTrialSpec, rng: np.random.Generator
     lengths = np.empty(n_rows, dtype=np.int64)
     row = 0
     if warmup:
-        # The looped engine warms the energy detector on noise before
+        # The streaming loop warms the energy detector on noise before
         # the first frame; the batched path keeps that draw as row 0
         # and discards its edges below.
         awgn(warmup, 1.0, rng, out=blocks[0, :warmup])
@@ -274,35 +269,6 @@ def _count_frames(spec: _CurveTrialSpec, rng: np.random.Generator
     return int((per_frame > 0).sum()), int(per_frame.sum())
 
 
-def _count_frames_looped(spec: _CurveTrialSpec, detector_process,
-                         rng: np.random.Generator, warmup: int = 0
-                         ) -> tuple[int, int]:
-    """Streaming reference frame loop (one detector call per frame)."""
-    arrivals = _frame_arrivals(spec.frame_kind, spec.frame_seed)
-    scale = np.sqrt(units.db_to_linear(spec.snr_db))
-    if warmup:
-        detector_process(awgn(warmup, 1.0, rng))
-    detected = 0
-    detections_total = 0
-    last = False
-    for _ in range(spec.n_frames):
-        frame_25 = arrivals[rng.integers(0, len(arrivals))]
-        if spec.energy_threshold_db is None:
-            factor = scale * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        else:
-            factor = scale
-        block = awgn(GUARD_SAMPLES + frame_25.size, 1.0, rng)
-        block[GUARD_SAMPLES:] += frame_25 * factor
-        trig = detector_process(block)
-        edges = rising_edges(trig, last)
-        last = bool(trig[-1])
-        in_frame = edges[edges >= GUARD_SAMPLES]
-        detections_total += in_frame.size
-        if in_frame.size:
-            detected += 1
-    return detected, detections_total
-
-
 def _xcorr_trial(spec: _CurveTrialSpec, rng: np.random.Generator
                  ) -> tuple[int, int]:
     """One correlator trial batch (a sweep task)."""
@@ -313,34 +279,6 @@ def _energy_trial(spec: _CurveTrialSpec, rng: np.random.Generator
                   ) -> tuple[int, int]:
     """One energy-differentiator trial batch (a sweep task)."""
     return _count_frames(spec, rng)
-
-
-def _xcorr_trial_looped(spec: _CurveTrialSpec, rng: np.random.Generator
-                        ) -> tuple[int, int]:
-    """Streaming-reference correlator trial (identity tests, benchmarks)."""
-    correlator = CrossCorrelator(spec.coeffs_i, spec.coeffs_q,
-                                 threshold=spec.threshold)
-
-    def process(block: np.ndarray) -> np.ndarray:
-        return correlator.process(block)[0]
-
-    return _count_frames_looped(spec, process, rng)
-
-
-def _energy_trial_looped(spec: _CurveTrialSpec, rng: np.random.Generator
-                         ) -> tuple[int, int]:
-    """Streaming-reference energy trial (identity tests, benchmarks)."""
-    detector = EnergyDifferentiator(
-        threshold_high_db=spec.energy_threshold_db,
-        threshold_low_db=spec.energy_threshold_db)
-
-    def process(block: np.ndarray) -> np.ndarray:
-        trig_high, _trig_low = detector.process(block)
-        return trig_high
-
-    # Warm the detector so the cold-start rise is consumed.
-    return _count_frames_looped(spec, process, rng,
-                                warmup=4 * detector.delay)
 
 
 def _trial_batches(n_frames: int) -> list[int]:

@@ -12,7 +12,8 @@ partial progress is discarded.
 
 The machine operates on *event edges* (rising edges of the per-sample
 trigger booleans), which lets the surrounding core run vectorized: the
-per-sample booleans are reduced to edge timestamps first and the FSM —
+core stacks every detector's trigger rows into one plane, reduces it
+to edge timestamps with :func:`repro.kernels.edge_mask`, and the FSM —
 whose state only changes on events — walks the edges.
 """
 
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.telemetry.tracer import CAT_FSM, NULL_TRACER, Tracer
@@ -51,24 +50,6 @@ class TriggerMode(enum.IntEnum):
 
     SEQUENCE = 0
     ANY = 1
-
-
-def rising_edges(trigger: np.ndarray, previous_last: bool = False) -> np.ndarray:
-    """Indices where a boolean trigger goes 0 -> 1.
-
-    ``previous_last`` carries the final trigger value of the previous
-    chunk so edges are not double-counted across chunk boundaries.
-    Past index 0 an edge is one compare of neighbours; index 0 is an
-    edge when it is set and ``previous_last`` is not.
-    """
-    trigger = np.asarray(trigger, dtype=bool)
-    if trigger.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    edges = np.flatnonzero(trigger[1:] > trigger[:-1])
-    edges += 1
-    if trigger[0] and not previous_last:
-        edges = np.concatenate(([0], edges))
-    return edges
 
 
 @dataclass(frozen=True)

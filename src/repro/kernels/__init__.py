@@ -4,32 +4,36 @@ The bit-exact compute layer under the detector facades:
 
 * :mod:`repro.kernels.xcorr` — the sign-bit cross-correlator over
   1..K coefficient banks as one windowed GEMM on an interleaved sign
-  plane (fused metric + trigger + edge extraction, streaming and
-  chained-batch forms);
-* :mod:`repro.kernels.energy` — the moving-sum energy differentiator
-  with exact float tail stitching for batched rows;
+  plane, comparing in the GEMM dtype against clamped thresholds
+  (one trigger kernel for a stream chunk or a chained batch), plus
+  the one rising-edge helper every trigger plane goes through;
+* :mod:`repro.kernels.energy` — the energy and moving-sum kernels the
+  streaming energy differentiator and its chained batch form share;
 * :mod:`repro.kernels.ops` — the choke point for the remaining raw
   convolution call sites (see repro-lint RJ009).
 
 The facades in :mod:`repro.hw` stay the stateful streaming API while
-all per-sample math lives here.
+all per-sample math lives here.  The DSP core stacks the facades'
+trigger rows into one plane and takes its edges with
+:func:`edge_mask` once per chunk.
 """
 
 from __future__ import annotations
 
 from repro.kernels.energy import (
     EnergyBatchResult,
+    energies,
     energy_detect_batch,
     moving_sums,
 )
 from repro.kernels.xcorr import (
     StackedBatchResult,
     StackedCoefficients,
-    StackedDetection,
     chained_edges,
+    clamped_thresholds,
+    edge_mask,
     metric_ceiling,
     prepare_coefficients,
-    rising_edge_plane,
     sign_plane,
     xcorr_detect,
     xcorr_detect_batch,
@@ -40,13 +44,14 @@ __all__ = [
     "EnergyBatchResult",
     "StackedBatchResult",
     "StackedCoefficients",
-    "StackedDetection",
     "chained_edges",
+    "clamped_thresholds",
+    "edge_mask",
+    "energies",
     "energy_detect_batch",
     "metric_ceiling",
     "moving_sums",
     "prepare_coefficients",
-    "rising_edge_plane",
     "sign_plane",
     "xcorr_detect",
     "xcorr_detect_batch",

@@ -40,10 +40,23 @@ summation order.  Larger banks fall back to float64 (exact through
 2**53).  The result is bit-identical to the int64 reference, which the
 parity tests enforce property-style.
 
+**Triggers without an int64 metric.**  :func:`xcorr_detect` compares
+the GEMM-dtype metric against :func:`clamped_thresholds`: each bank's
+threshold clamped to its metric ceiling.  A clamped threshold below
+the ceiling is an integer inside the dtype's exact window, so the
+float compare is the integer compare; one at the ceiling never fires,
+exactly as an unclamped threshold at or above the ceiling never does.
+Only :func:`xcorr_metric`, for callers that want the metric itself,
+casts to int64.
+
+**Edges.**  :func:`edge_mask` is the one rising-edge helper: the DSP
+core runs it once per chunk over its stacked trigger plane, and
+:func:`chained_edges` runs it over chained batch rows.
+
 The large intermediates live in grow-only module scratch buffers: they
 are hundreds of kilobytes, which glibc serves via mmap and hands back
 on free, so per-call allocation would pay the zero-page fault cost on
-every chunk.  Only the returned metric is freshly allocated.
+every chunk.
 """
 
 from __future__ import annotations
@@ -241,16 +254,21 @@ def sign_plane(samples: np.ndarray,
     return out
 
 
-def rising_edge_plane(trigger: np.ndarray, previous_last) -> np.ndarray:
-    """Elementwise rising-edge mask of a boolean trigger plane.
+def edge_mask(trigger: np.ndarray, last,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Rising-edge mask of a boolean ``(..., n)`` trigger plane.
 
-    ``previous_last`` is the trigger value preceding column 0 (a bool,
-    or one bool per row of a 2-D plane).
+    ``last`` is the trigger value just before column 0: a bool, or one
+    bool per row (shape ``trigger.shape[:-1]``).  For booleans
+    ``a > b`` is ``a and not b``, so each column is one compare with
+    its left neighbour.  ``out`` receives the mask when given.
     """
-    edges = np.empty_like(trigger)
-    edges[..., 1:] = trigger[..., 1:] & ~trigger[..., :-1]
-    edges[..., 0] = trigger[..., 0] & ~np.asarray(previous_last)
-    return edges
+    if out is None:
+        out = np.empty_like(trigger)
+    np.greater(trigger[..., 1:], trigger[..., :-1], out=out[..., 1:])
+    if trigger.shape[-1]:
+        np.greater(trigger[..., 0], last, out=out[..., 0])
+    return out
 
 
 def chained_edges(trigger: np.ndarray, lengths: np.ndarray,
@@ -264,58 +282,41 @@ def chained_edges(trigger: np.ndarray, lengths: np.ndarray,
     or beyond each row's valid length are masked off.
     """
     batch, width = trigger.shape[0], trigger.shape[-1]
-    previous = np.empty_like(trigger)
-    previous[..., 1:] = trigger[..., :-1]
-    previous[0, ..., 0] = last
+    previous = np.empty(trigger.shape[:-1], dtype=bool)
+    previous[0] = last
     if batch > 1:
-        previous[1:, ..., 0] = trigger[np.arange(batch - 1), ...,
-                                       lengths[:-1] - 1]
-    edges = trigger & ~previous
+        previous[1:] = trigger[np.arange(batch - 1), ..., lengths[:-1] - 1]
+    edges = edge_mask(trigger, previous)
     row_lengths = lengths.reshape((batch,) + (1,) * (trigger.ndim - 1))
     edges &= np.arange(width) < row_lengths
     return edges
 
 
 @dataclass(frozen=True)
-class StackedDetection:
-    """Fused single-stream detection result over ``K`` banks.
-
-    ``metric``/``trigger`` are ``(K, n)``; ``edges`` holds one rising-
-    edge index array per bank; ``last`` is the ``(K,)`` per-bank carry
-    state for the next chunk.
-    """
-
-    metric: np.ndarray
-    trigger: np.ndarray
-    edges: tuple[np.ndarray, ...]
-    last: np.ndarray
-
-
-@dataclass(frozen=True)
 class StackedBatchResult:
     """Chained batch detection result over ``K`` banks.
 
-    ``metric``/``trigger``/``edge_plane`` are ``(batch, K, width)``;
-    columns past a row's length are meaningless in ``trigger`` and
-    already masked in ``edge_plane``.  ``history`` (shared across
-    banks) and ``last`` (``(K,)`` bools) are the carry-out stream
-    state, ready to seed the next :func:`xcorr_detect_batch` call.
+    ``trigger``/``edge_plane`` are ``(batch, K, width)``; columns past
+    a row's length are meaningless in ``trigger`` and already masked in
+    ``edge_plane``.  ``history`` (shared across banks) and ``last``
+    (``(K,)`` bools) are the carry-out stream state, ready to seed the
+    next :func:`xcorr_detect_batch` call.
     """
 
-    metric: np.ndarray
     trigger: np.ndarray
     edge_plane: np.ndarray
     history: np.ndarray
     last: np.ndarray
 
 
-def xcorr_metric(plane: np.ndarray, coeffs: StackedCoefficients,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Per-bank squared metric over one shared sign plane.
+def _correlate(plane: np.ndarray, coeffs: StackedCoefficients
+               ) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """Squared correlation of every window, in ``coeffs.gemm_dtype``.
 
-    ``plane`` is ``(..., 2 * (history + n))`` int8 with I/Q signs
-    interleaved, its leading ``2 * (coeffs.taps - 1)`` entries the
-    carried history.  Returns ``(..., K, n)`` int64.
+    Returns ``(sums, lead, n)``: ``sums`` is a ``(rows, per_row, K, S)``
+    scratch view (valid until the next call) whose ``(row, bank)``
+    slice, flattened over ``(per_row, S)``, is that bank's metric with
+    padding windows past ``n``.
     """
     plane = np.asarray(plane)
     lead = plane.shape[:-1]
@@ -330,7 +331,7 @@ def xcorr_metric(plane: np.ndarray, coeffs: StackedCoefficients,
     dtype = coeffs.gemm_dtype
 
     # Copy the plane into zero-padded float storage; windows that start
-    # in the padding produce garbage columns sliced away below.
+    # in the padding produce garbage columns the callers slice away.
     flat = _scratch("padded", dtype, rows * padded_len)
     padded = flat.reshape(rows, padded_len)
     padded[:, :length] = plane.reshape(rows, length)
@@ -349,16 +350,29 @@ def xcorr_metric(plane: np.ndarray, coeffs: StackedCoefficients,
     gemm = _scratch("gemm", dtype, m * width).reshape(m, width)
     np.matmul(windows, coeffs.band, out=gemm)
 
-    # Columns are (component, bank, window): square in place, add
-    # the components, then one cast-and-transpose into the (bank,
-    # sample) layout; the last row's windows past n are padding.
+    # Columns are (component, bank, window): square in place and add
+    # the components.
     np.square(gemm, out=gemm)
     corr = gemm.reshape(m, 2, k * s)
     summed = _scratch("summed", dtype, m * k * s)
     np.add(corr[:, 0], corr[:, 1], out=summed.reshape(m, k * s))
+    return summed.reshape(rows, per_row, k, s), lead, n
+
+
+def xcorr_metric(plane: np.ndarray, coeffs: StackedCoefficients,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Per-bank squared metric over one shared sign plane.
+
+    ``plane`` is ``(..., 2 * (history + n))`` int8 with I/Q signs
+    interleaved, its leading ``2 * (coeffs.taps - 1)`` entries the
+    carried history.  Returns ``(..., K, n)`` int64.
+    """
+    summed, lead, n = _correlate(plane, coeffs)
+    rows, per_row, k, s = summed.shape
+    # One cast-and-transpose into the (bank, sample) layout; the last
+    # GEMM row's windows past n are padding.
     full = np.empty((rows, k, per_row, s), dtype=np.int64)
-    np.copyto(full, summed.reshape(rows, per_row, k, s)
-              .transpose(0, 2, 1, 3), casting="unsafe")
+    np.copyto(full, summed.transpose(0, 2, 1, 3), casting="unsafe")
     metric = full.reshape(lead + (k, per_row * s))[..., :n]
     if out is None:
         return metric
@@ -366,39 +380,53 @@ def xcorr_metric(plane: np.ndarray, coeffs: StackedCoefficients,
     return out
 
 
-def _check_thresholds(thresholds: np.ndarray,
-                      coeffs: StackedCoefficients) -> np.ndarray:
-    thresholds = np.asarray(thresholds, dtype=np.int64)
-    if thresholds.shape != (coeffs.n_banks,):
+def clamped_thresholds(coeffs: StackedCoefficients,
+                       thresholds) -> np.ndarray:
+    """Per-bank thresholds as exact ``coeffs.gemm_dtype`` compare limits.
+
+    Each threshold is clamped to its bank's metric ceiling in Python
+    integers, so every limit is exact in the dtype (see the module
+    docstring).  Build these when a threshold or bank changes, not per
+    chunk.
+    """
+    values = np.asarray(thresholds, dtype=np.int64)
+    if values.shape != (coeffs.n_banks,):
         raise ConfigurationError(
             f"expected {coeffs.n_banks} per-bank thresholds, "
-            f"got shape {thresholds.shape}"
+            f"got shape {values.shape}"
         )
-    return thresholds
+    return np.array([min(threshold, ceiling) for threshold, ceiling
+                     in zip(values.tolist(), coeffs.ceilings)],
+                    dtype=coeffs.gemm_dtype)
 
 
 def xcorr_detect(plane: np.ndarray, coeffs: StackedCoefficients,
-                 thresholds: np.ndarray,
-                 last: np.ndarray | None = None) -> StackedDetection:
-    """The fused streaming datapath: metric, trigger and edges per bank.
+                 limits: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The trigger kernel: ``metric > limit`` per bank, ``(..., K, n)``.
 
-    One GEMM replaces the seed's four correlation passes, and the
-    threshold compare plus rising-edge extraction ride along so the
-    DSP core consumes edge indices directly.  ``thresholds`` is
-    ``(K,)`` (one per bank) and ``last`` the ``(K,)`` per-bank trigger
-    carry from the previous chunk.
+    One GEMM replaces the seed's four correlation passes and the
+    compare runs in the GEMM dtype straight into ``out`` (a
+    C-contiguous bool array, e.g. the DSP core's trigger rows), with no
+    int64 metric in between.  ``limits`` comes from
+    :func:`clamped_thresholds`.  Edges and carries are the caller's.
     """
-    thresholds = _check_thresholds(thresholds, coeffs)
-    if last is None:
-        last = np.zeros(coeffs.n_banks, dtype=bool)
-    metric = xcorr_metric(plane, coeffs)
-    trigger = metric > thresholds[:, None]
-    edge_mask = rising_edge_plane(trigger, last)
-    edges = tuple(np.flatnonzero(row) for row in edge_mask)
-    new_last = trigger[:, -1].copy() if trigger.shape[-1] \
-        else np.asarray(last, dtype=bool).copy()
-    return StackedDetection(metric=metric, trigger=trigger, edges=edges,
-                            last=new_last)
+    summed, lead, n = _correlate(plane, coeffs)
+    rows, _per_row, k, s = summed.shape
+    if out is None:
+        out = np.empty(lead + (k, n), dtype=bool)
+    elif not out.flags.c_contiguous:
+        raise StreamError("xcorr_detect writes C-contiguous trigger rows")
+    grid = summed.transpose(0, 2, 1, 3)
+    rows_out = out.reshape(rows, k, n)
+    whole, rest = divmod(n, s)
+    np.greater(grid[:, :, :whole], limits[:, None, None],
+               out=rows_out[..., :whole * s].reshape(rows, k, whole, s))
+    if rest:
+        # The last GEMM row is partial: its windows past n are padding.
+        np.greater(grid[:, :, whole, :rest], limits[:, None],
+                   out=rows_out[..., whole * s:])
+    return out
 
 
 def xcorr_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
@@ -414,11 +442,12 @@ def xcorr_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
     width).  Rows are *chained*: each row's sign history is stitched
     from the previous row's valid tail, so the ``(batch, K, width)``
     planes are byte-identical to feeding the rows one by one through
-    :func:`xcorr_detect` — tests pin this.  ``history``
+    :func:`xcorr_detect` — tests pin this; one stitched plane then
+    runs through that same kernel.  ``history``
     (``(2 * (taps - 1),)`` int8) and ``last`` (``(K,)``) seed the chain
     and come back updated in the result.
     """
-    thresholds = _check_thresholds(thresholds, coeffs)
+    limits = clamped_thresholds(coeffs, thresholds)
     if last is None:
         last = np.zeros(coeffs.n_banks, dtype=bool)
     blocks = np.asarray(blocks)
@@ -452,11 +481,9 @@ def xcorr_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
                 plane[b, :2 * pairs] = \
                     plane[b - 1, start:start + 2 * pairs]
 
-    metric = xcorr_metric(plane, coeffs)
-    trigger = metric > thresholds[None, :, None]
+    trigger = xcorr_detect(plane, coeffs, limits)
     tail_start = 2 * lengths[-1]
     return StackedBatchResult(
-        metric=metric,
         trigger=trigger,
         edge_plane=chained_edges(trigger, lengths, last),
         history=plane[-1, tail_start:tail_start + 2 * pairs].copy(),

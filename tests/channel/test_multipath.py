@@ -116,4 +116,4 @@ class TestJammerUnderMultipath:
             noise_power=1e-4, rng=rng)
         ci, cq = quantize_coefficients(wifi_short_preamble_template())
         corr = CrossCorrelator(ci, cq, threshold=22_000)
-        assert corr.process(rx).any()
+        assert corr.detect(rx).any()

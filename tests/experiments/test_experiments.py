@@ -9,9 +9,7 @@ from repro.core.presets import reactive_jammer
 from repro.experiments.detection import (
     _CurveTrialSpec,
     _energy_trial,
-    _energy_trial_looped,
     _xcorr_trial,
-    _xcorr_trial_looped,
     energy_detector_curve,
     long_preamble_curve,
     measured_false_alarm_rate,
@@ -23,6 +21,11 @@ from repro.experiments.timelines import jamming_timelines, measure_response_time
 from repro.experiments.wifi_jamming import WifiJammingTestbed
 from repro.experiments.wimax_jamming import run_experiment
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
+from tests.experiments.oracles import (
+    energy_trial_looped,
+    rising_edges,
+    xcorr_trial_looped,
+)
 
 
 class TestFalseAlarmCalibration:
@@ -65,8 +68,8 @@ class TestBatchedTrialIdentity:
                                threshold=threshold)
         for seed in (1, 2, 3):
             batched = _xcorr_trial(spec, np.random.default_rng(seed))
-            looped = _xcorr_trial_looped(spec,
-                                         np.random.default_rng(seed))
+            looped = xcorr_trial_looped(spec,
+                                        np.random.default_rng(seed))
             assert batched == looped
 
     def test_energy_trial_matches_looped(self):
@@ -75,14 +78,12 @@ class TestBatchedTrialIdentity:
                                energy_threshold_db=10.0)
         for seed in (1, 2, 3):
             batched = _energy_trial(spec, np.random.default_rng(seed))
-            looped = _energy_trial_looped(spec,
-                                          np.random.default_rng(seed))
+            looped = energy_trial_looped(spec,
+                                         np.random.default_rng(seed))
             assert batched == looped
 
     def test_false_alarm_rate_matches_streaming_facade(self, rng):
-        """The chained batch calibration equals process()+rising_edges."""
-        from repro.hw.trigger import rising_edges
-
+        """The chained batch calibration equals detect()+rising_edges."""
         template = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
         ci, cq = quantize_coefficients(template)
         threshold = threshold_for_false_alarm_rate(ci, cq, 3000.0)
@@ -103,7 +104,7 @@ class TestBatchedTrialIdentity:
         last = False
         while remaining > 0:
             n = min(1 << 16, remaining)
-            (trig,) = corr.process(awgn(n, 1.0, stream_rng))
+            (trig,) = corr.detect(awgn(n, 1.0, stream_rng))
             triggers += rising_edges(trig, last).size
             last = bool(trig[-1])
             remaining -= n

@@ -30,6 +30,7 @@ from repro.hw.cross_correlator import (
 from repro.hw.trigger import TriggerSource
 from repro.hw.uhd import UhdDriver
 from repro.hw.usrp import UsrpN210
+from repro.kernels import edge_mask
 from repro.telemetry.metrics import MetricsRegistry
 from tests.kernels.test_xcorr_kernels import _reference_metric
 
@@ -113,44 +114,57 @@ class TestFacadeStreaming:
         banked.load_banks(banks, thresholds, labels=["a", "b"])
         singles = [CrossCorrelator(ci, cq, threshold=thr)
                    for (ci, cq), thr in zip(banks, thresholds)]
-        _trigger, edges = banked.detect(rx)
+        trigger = banked.detect(rx)
         for k, single in enumerate(singles):
-            _t, (single_edges,) = single.detect(rx)
-            np.testing.assert_array_equal(edges[k], single_edges)
+            np.testing.assert_array_equal(trigger[k], single.detect(rx)[0])
+        edges = [np.flatnonzero(row) for row in edge_mask(trigger, False)]
         assert edges[0].size == 1 and edges[1].size == 1
 
-    def test_load_banks_clears_carries_but_keeps_history(self, rng):
-        banked = CrossCorrelator()
-        banks = [_random_bank(rng)]
-        banked.load_banks(banks, [0])  # threshold 0: fires everywhere
-        _t, edges = banked.detect(rng.normal(size=50)
-                                  + 1j * rng.normal(size=50))
-        assert 0 in edges[0]
+    def test_load_banks_clears_carries_but_keeps_history(self, rng,
+                                                         template_a):
+        # The core owns the trigger carries: a bank-count write reloads
+        # the banked correlator and restarts its carries, while its
+        # sign history (received data) survives.
+        device = UsrpN210()
+        driver = UhdDriver(device)
+        driver.set_correlator_banks([template_a], [0])  # fires everywhere
+        core = device.core
+
+        def xcorr_times(chunk):
+            start = core.clock
+            return [d.time - start for d in core.process(chunk).detections
+                    if d.source is TriggerSource.XCORR]
+
+        assert 0 in xcorr_times(awgn(50, 1.0, rng))
         # Still triggering: the carry suppresses a chunk-boundary edge.
-        _t, edges = banked.detect(rng.normal(size=50)
-                                  + 1j * rng.normal(size=50))
-        assert 0 not in edges[0]
+        assert 0 not in xcorr_times(awgn(50, 1.0, rng))
         # Reloading the same banks restarts the carries like a fresh
         # bank of correlators...
-        banked.load_banks(banks, [0])
-        _t, edges = banked.detect(rng.normal(size=50)
-                                  + 1j * rng.normal(size=50))
-        assert 0 in edges[0]
+        history = core.banked._history.copy()
+        device.bus.write(regmap.REG_BANK_COUNT, 1)
+        np.testing.assert_array_equal(core.banked._history, history)
+        assert 0 in xcorr_times(awgn(50, 1.0, rng))
 
-    def test_reset_and_clear_last(self, rng):
+    def test_reset_and_clear_last(self, rng, template_a):
         banks = [_random_bank(rng)]
         banked = CrossCorrelator()
         banked.load_banks(banks, [0])
         samples = rng.normal(size=40) + 1j * rng.normal(size=40)
         banked.detect(samples)
-        banked.clear_last()
-        _t, edges = banked.detect(samples)
-        assert 0 in edges[0]  # carry forgotten
         banked.reset()
         fresh = CrossCorrelator()
         fresh.load_banks(banks, [0])
         np.testing.assert_array_equal(banked.metric(samples),
                                       fresh.metric(samples))
+        # Forgetting the carries across a gap is the core's skip().
+        device = UsrpN210()
+        UhdDriver(device).set_correlator_banks([template_a], [0])
+        core = device.core
+        core.process(samples)
+        core.skip(10)
+        start = core.clock
+        assert start in [d.time for d in core.process(samples).detections
+                         if d.source is TriggerSource.XCORR]
 
     def test_attach_metrics_counts_chunks_and_samples(self, rng):
         registry = MetricsRegistry()

@@ -97,7 +97,7 @@ class TestCrossCorrelator:
         corr = CrossCorrelator(ci, cq, threshold=30_000)
         signal = 0.001 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
         signal[100:164] += template
-        (trig,) = corr.process(signal)
+        (trig,) = corr.detect(signal)
         first = int(np.flatnonzero(trig)[0])
         assert first == 100 + CORRELATOR_LENGTH - 1
 
@@ -122,12 +122,12 @@ class TestCrossCorrelator:
         signal = 0.001 * (rng.standard_normal(300) + 1j * rng.standard_normal(300))
         signal[50:114] += other
         # Template mismatch: no trigger.
-        assert not corr.process(signal).any()
+        assert not corr.detect(signal).any()
         # Reload for the other signal: triggers.
         corr.reset()
         oi, oq = quantize_coefficients(other)
         corr.load_coefficients(oi, oq)
-        assert corr.process(signal).any()
+        assert corr.detect(signal).any()
 
     def test_coefficients_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -163,7 +163,7 @@ class TestCrossCorrelator:
             signal = 0.001 * (rng.standard_normal(200)
                               + 1j * rng.standard_normal(200))
             signal[64:128] += template * np.exp(1j * phase)
-            assert corr.process(signal).any(), f"missed at phase {phase:.2f}"
+            assert corr.detect(signal).any(), f"missed at phase {phase:.2f}"
 
     def test_scale_invariance_of_sign_slicing(self, rng, template):
         ci, cq = quantize_coefficients(template)

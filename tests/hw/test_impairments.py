@@ -119,4 +119,4 @@ class TestDdcIntegration:
                         + 1j * rng.standard_normal(500))
         block[200:264] += 0.3 * template
         impaired = TYPICAL_N210.apply(block)
-        assert corr.process(impaired).any()
+        assert corr.detect(impaired).any()

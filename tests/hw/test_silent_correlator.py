@@ -2,10 +2,11 @@
 
 A correlator each of whose thresholds is at least its bank's metric
 ceiling cannot fire, so :meth:`CrossCorrelator.detect` skips the GEMM
-and only shifts the sign history.  These tests switch a core between silent and
-live over the register bus mid-stream and compare it, chunk by chunk,
-with a reference correlator that always evaluates the metric.  They
-also pin the (time, source, bank) order of the detection merge.
+and only signs the chunk tail its history keeps.  These tests switch a
+core between silent and live over the register bus mid-stream and
+compare it, chunk by chunk, with a reference correlator that always
+evaluates the metric.  They also pin the (time, source, bank) order of
+the events the core builds from its stacked edge plane.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.hw.cross_correlator import (
 from repro.hw.dsp_core import CustomDspCore
 from repro.hw.registers import pack_signed_fields
 from repro.hw.trigger import TriggerSource
-from repro.kernels import metric_ceiling, rising_edge_plane
+from repro.kernels import edge_mask, metric_ceiling
 from repro.telemetry.metrics import MetricsRegistry
 
 _TEMPLATE = np.exp(1j * np.random.default_rng(7).uniform(0, 2 * np.pi, 64))
@@ -97,9 +98,8 @@ class TestSilentRule:
             raise AssertionError("the GEMM ran for a silent correlator")
 
         monkeypatch.setattr(module, "xcorr_detect", fail)
-        trigger, (edges,) = CrossCorrelator(*_COEFFS).detect(_stream(500))
+        trigger = CrossCorrelator(*_COEFFS).detect(_stream(500))
         assert trigger.shape == (1, 500) and not trigger.any()
-        assert edges.size == 0
 
     def test_one_live_bank_keeps_the_kernel_running(self, monkeypatch):
         import repro.hw.cross_correlator as module
@@ -117,15 +117,15 @@ class TestSilentRule:
                               [METRIC_MAX, _LIVE_THRESHOLD])
         assert not correlator.silent
         rx = _stream(1000)
-        trigger, (silent_edges, live_edges) = correlator.detect(rx)
+        trigger = correlator.detect(rx)
         assert calls == [1]
-        assert not trigger[0].any() and silent_edges.size == 0
+        assert not trigger[0].any()
         # The live bank fires on the planted template, as it does alone.
         alone = CrossCorrelator(*_COEFFS, threshold=_LIVE_THRESHOLD)
-        (alone_trigger,), (alone_edges,) = alone.detect(rx)
-        assert live_edges.tolist() == [300 + 63]
+        (alone_trigger,) = alone.detect(rx)
+        assert np.flatnonzero(edge_mask(trigger[1], False)).tolist() \
+            == [300 + 63]
         np.testing.assert_array_equal(trigger[1], alone_trigger)
-        np.testing.assert_array_equal(live_edges, alone_edges)
 
         # Both banks silent: no kernel call, yet the history advances.
         correlator.set_threshold(1, METRIC_MAX)
@@ -134,11 +134,10 @@ class TestSilentRule:
         reference.metric(rx)
         tail = _stream(1700)[1000:]
         ran = len(calls)
-        trigger, edges = correlator.detect(tail)
+        trigger = correlator.detect(tail)
         reference.metric(tail)
         assert len(calls) == ran
         assert trigger.shape == (2, 700) and not trigger.any()
-        assert all(e.size == 0 for e in edges)
         assert correlator._history.tobytes() == reference._history.tobytes()
 
 
@@ -155,10 +154,10 @@ def test_switching_matches_an_always_gemm_reference(plan):
     triggers = []
     detect = core.correlator.detect
 
-    def recording(samples):
-        trigger, edges = detect(samples)
+    def recording(samples, out=None):
+        trigger = detect(samples, out)
         triggers.append(trigger[0].copy())
-        return trigger, edges
+        return trigger
 
     core.correlator.detect = recording
     reference = CrossCorrelator()
@@ -176,7 +175,7 @@ def test_switching_matches_an_always_gemm_reference(plan):
         chunk = rx[start:start + length]
         out = core.process(chunk, quantized=True)
         expected = reference.metric(chunk)[0] > threshold
-        expected_edges = np.flatnonzero(rising_edge_plane(expected, last))
+        expected_edges = np.flatnonzero(edge_mask(expected, last))
         last = bool(expected[-1])
 
         np.testing.assert_array_equal(triggers[-1], expected)
@@ -186,6 +185,21 @@ def test_switching_matches_an_always_gemm_reference(plan):
         assert core.correlator._history.tobytes() == \
             reference._history.tobytes()
         start += chunk.size
+
+
+def _edge_plane(bank_edges, ehigh, elow, width=41) -> np.ndarray:
+    """The (K + 2, width) edge mask the core's event builder reads."""
+    plane = np.zeros((len(bank_edges) + 2, width), dtype=bool)
+    for row, edges in enumerate(list(bank_edges) + [ehigh, elow]):
+        plane[row, edges] = True
+    return plane
+
+
+def _events(core, chunk_start, xcorr_banks, ehigh, elow):
+    """Feed per-row edge lists to the core's event builder."""
+    plane = _edge_plane([edges for edges, _ in xcorr_banks], ehigh, elow)
+    return core._events(chunk_start, plane,
+                        tuple(label for _, label in xcorr_banks))
 
 
 def _lexsort_reference(chunk_start, xcorr_banks, ehigh, elow):
@@ -211,8 +225,8 @@ def _edges(values) -> np.ndarray:
 class TestDetectionMerge:
     def test_coincident_legacy_edges_order_by_source(self):
         core = CustomDspCore()
-        events = core._collect_detections(
-            1000, [(_edges([5, 9]), None)], _edges([5]), _edges([2, 5]))
+        events = _events(
+            core, 1000, [(_edges([5, 9]), None)], _edges([5]), _edges([2, 5]))
         assert [(e.time, e.source, e.protocol) for e in events] == [
             (1002, TriggerSource.ENERGY_LOW, None),
             (1005, TriggerSource.XCORR, None),
@@ -225,7 +239,7 @@ class TestDetectionMerge:
         core = CustomDspCore()
         banks = [(_edges([40, 7]), "wifi"), (_edges([7]), "dsss"),
                  (_edges([]), "wimax"), (_edges([7, 3]), "zigbee")]
-        events = core._collect_detections(0, banks, _edges([7]), _edges([]))
+        events = _events(core, 0, banks, _edges([7]), _edges([]))
         assert [(e.time, e.source, e.protocol) for e in events] == [
             (3, TriggerSource.XCORR, "zigbee"),
             (7, TriggerSource.XCORR, "wifi"),
@@ -244,10 +258,15 @@ class TestDetectionMerge:
     def test_matches_lexsort_order(self, bank_edges, ehigh, elow, start):
         banks = [(_edges(edges), f"p{k}") for k, edges in
                  enumerate(bank_edges)]
-        events = CustomDspCore()._collect_detections(
-            start, banks, _edges(ehigh), _edges(elow))
+        core = CustomDspCore()
+        events = _events(core, start, banks, _edges(ehigh), _edges(elow))
         assert [(e.time, e.source, e.protocol) for e in events] == \
             _lexsort_reference(start, banks, _edges(ehigh), _edges(elow))
+        assert core.detection_counts == {
+            TriggerSource.XCORR: sum(e.size for e, _ in banks),
+            TriggerSource.ENERGY_HIGH: _edges(ehigh).size,
+            TriggerSource.ENERGY_LOW: _edges(elow).size,
+        }
 
 
 @pytest.mark.parametrize("chunk", [1, 62, 63, 64, 1000])

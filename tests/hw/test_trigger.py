@@ -10,12 +10,17 @@ from repro.hw.trigger import (
     TriggerMode,
     TriggerSource,
     TriggerStateMachine,
-    rising_edges,
 )
+from repro.kernels import edge_mask
 
 X = TriggerSource.XCORR
 EH = TriggerSource.ENERGY_HIGH
 EL = TriggerSource.ENERGY_LOW
+
+
+def rising_edges(trig, previous_last=False):
+    """Edge indices of a 1-D trigger through the one edge helper."""
+    return np.flatnonzero(edge_mask(trig, previous_last))
 
 
 class TestRisingEdges:
@@ -36,6 +41,12 @@ class TestRisingEdges:
 
     def test_all_false(self):
         assert rising_edges(np.zeros(10, dtype=bool)).size == 0
+
+    def test_rows_take_their_own_carry(self):
+        plane = np.array([[1, 1, 0, 1], [1, 0, 1, 1]], dtype=bool)
+        edges = edge_mask(plane, np.array([True, False]))
+        assert np.flatnonzero(edges[0]).tolist() == [3]
+        assert np.flatnonzero(edges[1]).tolist() == [0, 2]
 
 
 class TestSingleStage:

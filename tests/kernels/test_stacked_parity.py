@@ -4,10 +4,10 @@ Hypothesis drives random coefficient banks, random thresholds, and —
 the load-bearing part — *random chunk splits* of one sample stream.
 However the stream is sliced, a K-bank :class:`repro.hw.CrossCorrelator`
 must stay byte-identical to K independent one-bank instances, bank by
-bank: metric plane, trigger plane, rising edges, and the per-bank
-carry state that chains edges across chunk boundaries.  Driven through
-the bank registers, with thresholds switching between silent and live,
-it must also equal the int64 four-pass reference.
+bank: metric plane, trigger plane, and the rising edges a per-bank
+carry chains across chunk boundaries.  Driven through the bank
+registers, with thresholds switching between silent and live, it must
+also equal the int64 four-pass reference.
 """
 
 from __future__ import annotations
@@ -23,11 +23,13 @@ from repro.hw.register_map import CORRELATOR_LENGTH
 from repro.hw.uhd import UhdDriver
 from repro.hw.usrp import UsrpN210
 from repro.kernels import (
+    clamped_thresholds,
+    edge_mask,
     prepare_coefficients,
-    rising_edge_plane,
     sign_plane,
     xcorr_detect,
     xcorr_detect_batch,
+    xcorr_metric,
 )
 from tests.kernels.test_xcorr_kernels import _reference_metric
 
@@ -64,16 +66,24 @@ class TestStreamingChunkSplits:
         singles = [CrossCorrelator(ci, cq, threshold=int(thr))
                    for (ci, cq), thr in zip(banks, thresholds)]
 
+        banked_last = np.zeros(n_banks, dtype=bool)
+        single_last = np.zeros(n_banks, dtype=bool)
         position = 0
         for size in chunk_sizes:
             chunk = samples[position:position + size]
             position += size
-            trigger, edges = banked.detect(chunk)
+            trigger = banked.detect(chunk)
             assert trigger.shape == (n_banks, size)
+            edges = edge_mask(trigger, banked_last)
             for k, single in enumerate(singles):
-                (t,), (e,) = single.detect(chunk)
+                (t,) = single.detect(chunk)
                 np.testing.assert_array_equal(trigger[k], t)
-                np.testing.assert_array_equal(edges[k], e)
+                np.testing.assert_array_equal(
+                    edges[k], edge_mask(t, single_last[k]))
+                if size:
+                    single_last[k] = t[-1]
+            if size:
+                banked_last = trigger[:, -1].copy()
 
     @given(stream_case)
     @settings(max_examples=30, deadline=None)
@@ -108,18 +118,21 @@ class TestStreamingChunkSplits:
 
         one_shot = CrossCorrelator()
         one_shot.load_banks(banks, thresholds)
-        _trigger, whole_edges = one_shot.detect(samples)
+        whole_edges = edge_mask(one_shot.detect(samples), False)
 
         chunked = CrossCorrelator()
         chunked.load_banks(banks, thresholds)
         collected = [[] for _ in range(n_banks)]
+        last = np.zeros(n_banks, dtype=bool)
         for start in range(0, 300, 77):
-            _t, edges = chunked.detect(samples[start:start + 77])
+            trigger = chunked.detect(samples[start:start + 77])
+            edges = edge_mask(trigger, last)
+            last = trigger[:, -1].copy()
             for k in range(n_banks):
-                collected[k].extend(edges[k] + start)
+                collected[k].extend(np.flatnonzero(edges[k]) + start)
         for k in range(n_banks):
             np.testing.assert_array_equal(np.array(collected[k]),
-                                          whole_edges[k])
+                                          np.flatnonzero(whole_edges[k]))
 
 
 class TestBatchLeg:
@@ -140,23 +153,22 @@ class TestBatchLeg:
 
         result = xcorr_detect_batch(blocks, lengths, stacked, thresholds)
 
+        limits = clamped_thresholds(stacked, thresholds)
         history = np.zeros(2 * stacked.history_pairs, dtype=np.int8)
         last = np.zeros(n_banks, dtype=bool)
         for b in range(batch):
             row = blocks[b, :lengths[b]]
             plane = np.concatenate([history, sign_plane(row)])
-            ref = xcorr_detect(plane, stacked, thresholds, last=last)
+            trigger = xcorr_detect(plane, stacked, limits)
             n = int(lengths[b])
-            np.testing.assert_array_equal(result.metric[b, :, :n],
-                                          ref.metric)
-            np.testing.assert_array_equal(result.trigger[b, :, :n],
-                                          ref.trigger)
-            for k in range(n_banks):
-                np.testing.assert_array_equal(
-                    np.flatnonzero(result.edge_plane[b, k, :n]),
-                    ref.edges[k])
+            np.testing.assert_array_equal(
+                result.trigger[b, :, :n],
+                xcorr_metric(plane, stacked) > thresholds[:, None])
+            np.testing.assert_array_equal(result.trigger[b, :, :n], trigger)
+            np.testing.assert_array_equal(result.edge_plane[b, :, :n],
+                                          edge_mask(trigger, last))
             history = plane[2 * n:]
-            last = ref.last
+            last = trigger[:, -1].copy()
         np.testing.assert_array_equal(result.history, history)
         np.testing.assert_array_equal(result.last, last)
 
@@ -176,15 +188,16 @@ class TestBatchLeg:
 
         facade = CrossCorrelator()
         facade.load_banks(banks, thresholds)
+        last = np.zeros(n_banks, dtype=bool)
         for b, length in enumerate(lengths):
-            trigger, edges = facade.detect(blocks[b, :length])
+            trigger = facade.detect(blocks[b, :length])
             np.testing.assert_array_equal(result.trigger[b, :, :length],
                                           trigger)
-            for k in range(n_banks):
-                np.testing.assert_array_equal(
-                    np.flatnonzero(result.edge_plane[b, k]), edges[k])
+            np.testing.assert_array_equal(result.edge_plane[b, :, :length],
+                                          edge_mask(trigger, last))
+            last = trigger[:, -1].copy()
         np.testing.assert_array_equal(result.history, facade._history)
-        np.testing.assert_array_equal(result.last, facade._last)
+        np.testing.assert_array_equal(result.last, last)
 
 
 #: seed, bank count, and per chunk: its size and a mask of the banks
@@ -223,10 +236,11 @@ class TestRegisterDrivenAgainstReference:
         results = []
         kernel = cross_correlator_module.xcorr_detect
 
-        def recording(plane, prepared, thresholds, last=None):
-            result = kernel(plane, prepared, thresholds, last=last)
-            results.append(result)
-            return result
+        def recording(plane, prepared, limits, out=None):
+            metric = xcorr_metric(plane, prepared)
+            trigger = kernel(plane, prepared, limits, out=out)
+            results.append((metric, trigger.copy()))
+            return trigger
 
         cross_correlator_module.xcorr_detect = recording
         try:
@@ -254,20 +268,20 @@ class TestRegisterDrivenAgainstReference:
             assert core.banked.silent == (not any(is_live))
             if any(is_live):
                 assert len(results) == ran + 1
-                np.testing.assert_array_equal(results[-1].metric,
-                                              expected_metric)
-                np.testing.assert_array_equal(results[-1].trigger, trigger)
+                metric, got_trigger = results[-1]
+                np.testing.assert_array_equal(metric, expected_metric)
+                np.testing.assert_array_equal(got_trigger, trigger)
             else:
                 assert len(results) == ran
                 assert not trigger.any()
-            edges = rising_edge_plane(trigger, last)
+            edges = edge_mask(trigger, last)
             expected = sorted((start + t, k) for k in range(n_banks)
                               for t in np.flatnonzero(edges[k]))
             got = [(d.time, core.banked.labels.index(d.protocol))
                    for d in out.detections if d.protocol is not None]
             assert got == expected
             last = trigger[:, -1]
-            np.testing.assert_array_equal(core.banked._last, last)
+            np.testing.assert_array_equal(core._banked_carry[:n_banks], last)
             start += size
             history = np.concatenate([
                 np.zeros(2 * (CORRELATOR_LENGTH - 1), dtype=np.int8),

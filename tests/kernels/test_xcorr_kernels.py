@@ -16,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError, StreamError
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
 from repro.kernels import (
+    clamped_thresholds,
+    edge_mask,
+    metric_ceiling,
     prepare_coefficients,
     sign_plane,
     xcorr_detect,
@@ -193,32 +196,92 @@ class TestXcorrDetect:
         plane = _plane_with_history(samples, prepared.history_pairs)
         metric = xcorr_metric(plane, prepared)[0]
         threshold = int(np.percentile(metric, 90))
-        result = xcorr_detect(plane, prepared, [threshold])
-        np.testing.assert_array_equal(result.metric[0], metric)
-        np.testing.assert_array_equal(result.trigger[0], metric > threshold)
+        (trigger,) = xcorr_detect(plane, prepared,
+                                  clamped_thresholds(prepared, [threshold]))
+        np.testing.assert_array_equal(trigger, metric > threshold)
         expected_edges = np.flatnonzero(
             np.diff(np.concatenate([[False], metric > threshold])
                     .astype(np.int8)) > 0)
-        (edges,) = result.edges
-        np.testing.assert_array_equal(edges, expected_edges)
-        assert result.last.tolist() == [bool((metric > threshold)[-1])]
+        np.testing.assert_array_equal(
+            np.flatnonzero(edge_mask(trigger, False)), expected_edges)
+
+    def test_out_receives_the_trigger_rows(self):
+        # 301 samples: the last GEMM row is partial.
+        rng = np.random.default_rng(12)
+        prepared = _prepare(*_random_bank(rng))
+        samples = rng.normal(size=301) + 1j * rng.normal(size=301)
+        plane = _plane_with_history(samples, prepared.history_pairs)
+        limits = clamped_thresholds(prepared, [20_000])
+        stacked = np.ones((3, 301), dtype=bool)
+        assert xcorr_detect(plane, prepared, limits,
+                            out=stacked[:1]).base is stacked
+        np.testing.assert_array_equal(
+            stacked[:1], xcorr_detect(plane, prepared, limits))
+        assert stacked[1:].all()
+        with pytest.raises(StreamError):
+            xcorr_detect(plane, prepared, limits,
+                         out=np.empty((1, 602), dtype=bool)[:, ::2])
+
+
+def _ceiling_stream(n=600):
+    """Random signs with one run of 1+1j signs, which scores a
+    real-coefficient bank's ceiling."""
+    rng = np.random.default_rng(13)
+    samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+    samples[200:264] = 1 + 1j
+    return samples
+
+
+class TestClampedCompare:
+    """The GEMM-dtype compare equals the int64 compare at the edges."""
+
+    @pytest.mark.parametrize("coeff, dtype", [(3, np.float32),
+                                              (1 << 10, np.float64)])
+    def test_float_compare_equals_int64_compare(self, coeff, dtype):
+        ci = np.full(TAPS, coeff, dtype=np.int64)
+        cq = np.zeros(TAPS, dtype=np.int64)
+        prepared = _prepare(ci, cq)
+        assert prepared.gemm_dtype == dtype
+        ceiling = metric_ceiling(ci, cq)
+        plane = _plane_with_history(_ceiling_stream(),
+                                    prepared.history_pairs)
+        metric = xcorr_metric(plane, prepared)[0]
+        assert metric.max() == ceiling
+        for threshold in (ceiling - 1, ceiling, ceiling + 1, 1 << 24,
+                          (1 << 32) - 1):
+            limits = clamped_thresholds(prepared, [threshold])
+            assert limits.dtype == dtype
+            (trigger,) = xcorr_detect(plane, prepared, limits)
+            np.testing.assert_array_equal(trigger, metric > threshold)
+        assert xcorr_detect(plane, prepared, clamped_thresholds(
+            prepared, [ceiling - 1])).any()
+
+    def test_thresholds_clamp_to_each_bank_ceiling(self):
+        rng = np.random.default_rng(14)
+        banks = [_random_bank(rng), _random_bank(rng)]
+        prepared = prepare_coefficients(banks)
+        limits = clamped_thresholds(prepared, [5, (1 << 32) - 1])
+        assert limits.tolist() == [5, prepared.ceilings[1]]
+        with pytest.raises(ConfigurationError):
+            clamped_thresholds(prepared, [5])
 
 
 class TestXcorrDetectBatch:
     def _stream_reference(self, rows, lengths, prepared, threshold):
         """Feed the rows one by one through the streaming kernel."""
         pairs = prepared.history_pairs
+        limits = clamped_thresholds(prepared, [threshold])
         history = np.zeros(2 * pairs, dtype=np.int8)
-        last = None
+        last = np.zeros(1, dtype=bool)
         triggers, edge_counts = [], []
         for row, length in zip(rows, lengths):
             chunk = row[:length]
             plane = _plane_with_history(chunk, pairs, history)
-            result = xcorr_detect(plane, prepared, [threshold], last=last)
+            trigger = xcorr_detect(plane, prepared, limits)
             history = plane[2 * chunk.size:].copy()
-            last = result.last
-            triggers.append(result.trigger[0])
-            edge_counts.append(result.edges[0].size)
+            edge_counts.append(int(edge_mask(trigger, last).sum()))
+            last = trigger[:, -1].copy()
+            triggers.append(trigger[0])
         return triggers, edge_counts, history, last
 
     def test_byte_identical_to_streaming(self):

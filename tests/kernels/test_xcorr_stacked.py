@@ -1,9 +1,9 @@
 """Correctness of the K-bank correlation kernel.
 
 The invariant under test throughout: bank ``k`` of a K-bank stack is
-byte-identical to that bank run alone — metric plane, trigger plane,
-edge lists, and carry state — although the stack evaluates 16 windows
-per GEMM row and a lone bank 32.  The prepare step's memoization on
+byte-identical to that bank run alone — metric plane, trigger plane
+and edges — although the stack evaluates 16 windows per GEMM row and a
+lone bank 32.  The prepare step's memoization on
 the bank fingerprints is pinned here too.
 """
 
@@ -14,6 +14,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.kernels import (
+    clamped_thresholds,
+    edge_mask,
     prepare_coefficients,
     sign_plane,
     xcorr_detect,
@@ -166,16 +168,17 @@ class TestStackedDetect:
         stacked = prepare_coefficients(banks)
         thresholds = np.array([50_000, 20_000, 5_000], dtype=np.int64)
         plane = _plane(rng, 900, stacked.history_pairs)
-        result = xcorr_detect(plane, stacked, thresholds)
-        assert result.trigger.shape == (3, 900)
-        assert result.last.shape == (3,)
+        trigger = xcorr_detect(plane, stacked,
+                               clamped_thresholds(stacked, thresholds))
+        assert trigger.shape == (3, 900)
+        edges = edge_mask(trigger, np.zeros(3, dtype=bool))
         for k, bank in enumerate(banks):
-            single = xcorr_detect(plane, prepare_coefficients([bank]),
-                                  thresholds[k:k + 1])
-            np.testing.assert_array_equal(result.trigger[k],
-                                          single.trigger[0])
-            np.testing.assert_array_equal(result.edges[k], single.edges[0])
-            assert bool(result.last[k]) == bool(single.last[0])
+            alone = prepare_coefficients([bank])
+            (single,) = xcorr_detect(
+                plane, alone, clamped_thresholds(alone, thresholds[k:k + 1]))
+            np.testing.assert_array_equal(trigger[k], single)
+            np.testing.assert_array_equal(edges[k], edge_mask(single, False))
+            assert bool(trigger[k, -1]) == bool(single[-1])
 
     def test_carry_in_suppresses_leading_edge(self):
         rng = np.random.default_rng(9)
@@ -186,18 +189,17 @@ class TestStackedDetect:
         # almost surely), so the first sample is a rising edge only
         # without carry-in.
         thresholds = np.zeros(2, dtype=np.int64)
-        cold = xcorr_detect(plane, stacked, thresholds)
-        warm = xcorr_detect(plane, stacked, thresholds,
-                                    last=np.array([True, False]))
-        assert 0 in cold.edges[0] and 0 in cold.edges[1]
-        assert 0 not in warm.edges[0]
-        assert 0 in warm.edges[1]
+        trigger = xcorr_detect(plane, stacked,
+                               clamped_thresholds(stacked, thresholds))
+        cold = edge_mask(trigger, np.zeros(2, dtype=bool))
+        warm = edge_mask(trigger, np.array([True, False]))
+        assert cold[0, 0] and cold[1, 0]
+        assert not warm[0, 0]
+        assert warm[1, 0]
 
     def test_threshold_shape_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         banks = _random_banks(rng, 2)
         stacked = prepare_coefficients(banks)
-        plane = _plane(rng, 64, stacked.history_pairs)
         with pytest.raises(ConfigurationError):
-            xcorr_detect(plane, stacked,
-                                 np.array([1, 2, 3], dtype=np.int64))
+            clamped_thresholds(stacked, np.array([1, 2, 3], dtype=np.int64))

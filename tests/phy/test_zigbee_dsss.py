@@ -180,7 +180,7 @@ class TestNewTemplates:
             out_rate=25e6, duration=300e-6, noise_power=1e-4, rng=rng)
         ci, cq = quantize_coefficients(zigbee_preamble_template())
         corr = CrossCorrelator(ci, cq, threshold=25_000)
-        assert corr.process(rx).any()
+        assert corr.detect(rx).any()
 
     def test_dsss_template_detects_preamble(self, rng):
         from repro import units
@@ -202,7 +202,7 @@ class TestNewTemplates:
         ci, cq = quantize_coefficients(dsss_preamble_template())
         assert not cq.any()
         corr = CrossCorrelator(ci, cq, threshold=12_000)
-        assert corr.process(rx).any()
+        assert corr.detect(rx).any()
 
 
 class TestZigbeeExperiment:

@@ -96,9 +96,9 @@ class TestChunkInvariance:
     def test_energy_scratch_reuse_matches_single_shot(self, rng, chunk_size):
         signal = awgn(2000, 1.0, rng)
         signal[800:1200] *= 4.0
-        whole = EnergyDifferentiator().process(signal)
+        whole = EnergyDifferentiator().detect(signal)
         streamed = EnergyDifferentiator()
-        parts = [streamed.process(signal[i:i + chunk_size])
+        parts = [streamed.detect(signal[i:i + chunk_size])
                  for i in range(0, signal.size, chunk_size)]
         high = np.concatenate([p[0] for p in parts])
         low = np.concatenate([p[1] for p in parts])
