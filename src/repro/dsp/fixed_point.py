@@ -130,11 +130,15 @@ def quantize_iq16(values: np.ndarray) -> np.ndarray:
         out[...] = values
         flat *= _IQ16_SCALE
     np.rint(flat, out=flat)
-    np.clip(flat, _IQ16_MIN, _IQ16_MAX, out=flat)
+    # Saturate in place: the ops of np.clip, for NaN, +-inf and -0.0.
+    np.maximum(flat, _IQ16_MIN, out=flat)
+    np.minimum(flat, _IQ16_MAX, out=flat)
     flat += 0.0
-    # NaN is the only value rint and the clip pass through unbounded,
-    # so one sum over the saturated buffer detects it.
-    if np.isnan(np.add.reduce(flat)):
+    # NaN is the only value rint and the saturation pass through
+    # unbounded, so one sum over the saturated buffer detects it (only
+    # NaN is unequal to itself).
+    total = np.add.reduce(flat)
+    if total != total:
         raise StreamError("NaN sample reached the IQ16 quantizer")
     flat *= _IQ16_INV_SCALE
     return out
