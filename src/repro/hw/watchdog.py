@@ -133,10 +133,10 @@ class Watchdog:
         Admitted spans are recorded against the budget; vetoed bursts
         leave no trace beyond the trip record.
         """
+        self._prune(start)
         if self.config.max_duty_cycle >= 1.0:
             self._record(start, end)
             return True
-        self._prune(start)
         window = self.config.duty_window_samples
         budget = self.config.max_duty_cycle * window
         projected = self._busy_samples(start) + min(end - start, window)
@@ -158,10 +158,10 @@ class Watchdog:
         may transmit up to the remaining window budget, which realizes
         ``max_duty_cycle`` as a long-run duty bound.
         """
+        self._prune(chunk_start)
         if self.config.max_duty_cycle >= 1.0:
             self._record(chunk_start, chunk_start + n)
             return n
-        self._prune(chunk_start)
         window = self.config.duty_window_samples
         budget = self.config.max_duty_cycle * window
         remaining = int(budget - self._busy_samples(chunk_start))

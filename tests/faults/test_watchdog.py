@@ -67,6 +67,17 @@ class TestDutyGuard:
             assert wd.admit_interval(k * 10, k * 10 + 10)
         assert wd.trips == []
 
+    @pytest.mark.parametrize("max_duty", [0.5, 1.0])
+    def test_kept_spans_are_bounded_by_the_window(self, max_duty):
+        # Spans that aged out of the window are dropped whether or not
+        # the guard is on, so a long run keeps a window's worth of them.
+        wd = self._wd(max_duty=max_duty, window=1000)
+        for k in range(5000):
+            assert wd.admit_interval(k * 100, k * 100 + 10)
+            wd.continuous_allowance(k * 100 + 50, 10)
+        assert len(wd._spans) <= 2 * (1000 // 100 + 1)
+        assert wd.duty_cycle(5000 * 100) == pytest.approx(0.2)
+
     def test_continuous_throttled_to_budget(self):
         wd = self._wd()
         allowed = wd.continuous_allowance(0, 80)
