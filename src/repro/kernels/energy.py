@@ -99,8 +99,14 @@ def _stitch_tails(full: np.ndarray, lengths: np.ndarray,
     if batch == 1 or tail_len == 0:
         return
     if np.all(lengths[:-1] >= tail_len):
-        cols = lengths[:-1, None] + np.arange(tail_len)[None, :]
-        full[1:, :tail_len] = np.take_along_axis(full[:-1], cols, axis=1)
+        if np.all(lengths[1:-1] == lengths[0]):
+            # Equal rows: every tail starts at one column, one slice.
+            start = lengths[0]
+            full[1:, :tail_len] = full[:-1, start:start + tail_len]
+        else:
+            cols = lengths[:-1, None] + np.arange(tail_len)[None, :]
+            full[1:, :tail_len] = np.take_along_axis(full[:-1], cols,
+                                                     axis=1)
     else:
         for b in range(1, batch):
             start = lengths[b - 1]

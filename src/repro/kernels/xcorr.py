@@ -285,11 +285,25 @@ def chained_edges(trigger: np.ndarray, lengths: np.ndarray,
     previous = np.empty(trigger.shape[:-1], dtype=bool)
     previous[0] = last
     if batch > 1:
-        previous[1:] = trigger[np.arange(batch - 1), ..., lengths[:-1] - 1]
+        if _equal_lengths(lengths):
+            previous[1:] = trigger[:-1, ..., lengths[0] - 1]
+        else:
+            previous[1:] = trigger[np.arange(batch - 1), ...,
+                                   lengths[:-1] - 1]
     edges = edge_mask(trigger, previous)
-    row_lengths = lengths.reshape((batch,) + (1,) * (trigger.ndim - 1))
-    edges &= np.arange(width) < row_lengths
+    if np.any(lengths < width):
+        row_lengths = lengths.reshape((batch,) + (1,) * (trigger.ndim - 1))
+        edges &= np.arange(width) < row_lengths
     return edges
+
+
+def _equal_lengths(lengths: np.ndarray) -> bool:
+    """Whether every row but the last has the same length.
+
+    Then each row's predecessor tail sits at one column offset and a
+    slice copies all of them at once instead of a per-row gather.
+    """
+    return bool(np.all(lengths[1:-1] == lengths[0]))
 
 
 @dataclass(frozen=True)
@@ -472,9 +486,14 @@ def xcorr_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
     plane[0, :2 * pairs] = history
     if batch > 1 and pairs:
         if np.all(lengths[:-1] >= pairs):
-            cols = 2 * lengths[:-1, None] + np.arange(2 * pairs)[None, :]
-            plane[1:, :2 * pairs] = np.take_along_axis(plane[:-1], cols,
-                                                       axis=1)
+            if _equal_lengths(lengths):
+                start = 2 * lengths[0]
+                plane[1:, :2 * pairs] = plane[:-1, start:start + 2 * pairs]
+            else:
+                cols = 2 * lengths[:-1, None] \
+                    + np.arange(2 * pairs)[None, :]
+                plane[1:, :2 * pairs] = np.take_along_axis(
+                    plane[:-1], cols, axis=1)
         else:
             for b in range(1, batch):
                 start = 2 * lengths[b - 1]

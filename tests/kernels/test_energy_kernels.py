@@ -62,13 +62,14 @@ class TestEnergyDetectBatch:
         return outs, detector
 
     @pytest.mark.parametrize("lengths", [
-        [400, 400, 400],
-        [400, 150, 399, 64],
+        [400, 400, 400],            # every row full: one slice, no mask
+        [400, 150, 399, 64],        # ragged: per-row gather
+        [300, 300, 300, 120],       # equal but the last row, padded
     ])
     def test_byte_identical_to_streaming(self, lengths):
         rng = np.random.default_rng(2)
         lengths = np.asarray(lengths, dtype=np.int64)
-        width = int(lengths.max())
+        width = 400
         batch = lengths.size
         blocks = rng.normal(size=(batch, width)) \
             + 1j * rng.normal(size=(batch, width))

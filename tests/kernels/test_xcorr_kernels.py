@@ -308,6 +308,35 @@ class TestXcorrDetectBatch:
         np.testing.assert_array_equal(result.history, history)
         np.testing.assert_array_equal(result.last, last)
 
+    @pytest.mark.parametrize("lengths", [
+        [300, 300, 300, 300, 300],  # every row full: no length mask
+        [250, 250, 250, 250, 250],  # equal and padded: masked
+        [300, 300, 300, 300, 37],   # equal but the last row
+    ])
+    def test_equal_rows_stitch_by_slice(self, lengths):
+        """Equal-length rows (one slice per carry) match streaming."""
+        rng = np.random.default_rng(9)
+        ci, cq = _random_bank(rng)
+        prepared = _prepare(ci, cq)
+        lengths = np.array(lengths, dtype=np.int64)
+        blocks = rng.normal(size=(5, 300)) \
+            + 1j * rng.normal(size=(5, 300))
+        metric_all = _reference_metric(
+            np.concatenate([blocks[b, :lengths[b]] for b in range(5)]),
+            ci, cq)
+        threshold = int(np.percentile(metric_all, 85))
+        result = xcorr_detect_batch(blocks, lengths, prepared, [threshold])
+        triggers, edge_counts, history, last = self._stream_reference(
+            blocks, lengths, prepared, threshold)
+        for b, length in enumerate(lengths):
+            np.testing.assert_array_equal(
+                result.trigger[b, 0, :length], triggers[b])
+            assert int(result.edge_plane[b].sum()) == edge_counts[b]
+            assert not result.edge_plane[b, :, length:].any()
+        assert sum(edge_counts) > 0
+        np.testing.assert_array_equal(result.history, history)
+        np.testing.assert_array_equal(result.last, last)
+
     def test_short_rows_fall_back_to_sequential_stitch(self):
         """Rows shorter than the history depth still chain exactly."""
         rng = np.random.default_rng(7)
