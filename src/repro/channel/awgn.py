@@ -21,6 +21,8 @@ def awgn(n_samples: int, power: float, rng: np.random.Generator,
     synthesize noise in place.  The RNG draw order and the produced
     values are identical with or without it: the real draws come
     first, then the imaginary draws, each scaled by ``sqrt(power/2)``.
+    Both halves come from one ``standard_normal(2 * n_samples)`` call,
+    which draws exactly what two ``n_samples`` calls would.
     """
     if n_samples < 0:
         raise ConfigurationError("n_samples must be non-negative")
@@ -35,10 +37,10 @@ def awgn(n_samples: int, power: float, rng: np.random.Generator,
     if power == 0.0:
         out[:] = 0.0
         return out
-    scale = np.sqrt(power / 2.0)
-    out.real = rng.standard_normal(n_samples)
-    out.imag = rng.standard_normal(n_samples)
-    out *= scale
+    draws = rng.standard_normal(2 * n_samples)
+    draws *= np.sqrt(power / 2.0)
+    out.real = draws[:n_samples]
+    out.imag = draws[n_samples:]
     return out
 
 

@@ -21,6 +21,26 @@ class TestAwgn:
     def test_zero_power_is_silence(self, rng):
         assert not awgn(100, 0.0, rng).any()
 
+    @pytest.mark.parametrize("n", [0, 1, 591, 592, 4097])
+    @pytest.mark.parametrize("power", [0.0, 1e-4, 2.5])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_bytes_match_two_call_reference(self, n, power, in_place):
+        """One 2n draw equals real draws, then imaginary, then scaling."""
+        ref_rng = np.random.default_rng(1234 + n)
+        expected = np.zeros(n, dtype=np.complex128)
+        if power:
+            expected.real = ref_rng.standard_normal(n)
+            expected.imag = ref_rng.standard_normal(n)
+            expected *= np.sqrt(power / 2.0)
+        rng = np.random.default_rng(1234 + n)
+        out = np.full(n, np.nan, dtype=np.complex128) if in_place else None
+        got = awgn(n, power, rng, out=out)
+        assert got.tobytes() == expected.tobytes()
+        if in_place:
+            assert got is out
+        # The generator is left where the two-call reference leaves it.
+        assert rng.random() == ref_rng.random()
+
     def test_rejects_negative(self, rng):
         with pytest.raises(ConfigurationError):
             awgn(10, -1.0, rng)
