@@ -17,7 +17,9 @@ that possible without touching the science:
   for expensive deterministic artifacts (PPDUs, preambles, quantized
   coefficient banks, resampled templates);
 * :mod:`repro.runtime.buffers` — grow-only scratch buffers the
-  streaming hot path reuses across chunks instead of reallocating.
+  streaming hot path reuses across chunks instead of reallocating;
+* :mod:`repro.runtime.blas` — the one-BLAS-thread cap every sweep
+  trial runs under, serial or pooled.
 
 Pool policy lives here and only here: repro-lint rule RJ008 flags any
 other module constructing ``ProcessPoolExecutor`` / ``multiprocessing``

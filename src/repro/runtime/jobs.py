@@ -76,6 +76,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError, WorkerCrashError
+from repro.runtime.blas import cap_blas_threads, one_blas_thread
 from repro.runtime.cache import cache_key
 
 if TYPE_CHECKING:  # one-way dependencies: runtime never imports these
@@ -196,6 +197,9 @@ class SweepHealth:
     ``shard_attempts`` maps shard index -> executions launched, for
     every shard that needed more than one (or never succeeded);
     healthy single-shot shards are omitted to keep the report small.
+    ``blas_threads`` is the BLAS thread count every trial ran under
+    (``1``), or ``None`` where no OpenBLAS thread setter was found and
+    the count was left alone (see :mod:`repro.runtime.blas`).
     """
 
     total_shards: int = 0
@@ -210,6 +214,7 @@ class SweepHealth:
     shard_attempts: dict[int, int] = field(default_factory=dict)
     checkpoint_corrupt_entries: int = 0
     elapsed_s: float = 0.0
+    blas_threads: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -233,6 +238,7 @@ class SweepHealth:
                                for k, v in sorted(self.shard_attempts.items())},
             "checkpoint_corrupt_entries": self.checkpoint_corrupt_entries,
             "elapsed_s": self.elapsed_s,
+            "blas_threads": self.blas_threads,
             "ok": self.ok,
         }
 
@@ -247,6 +253,7 @@ class SweepHealth:
             f"quarantined   : "
             + (", ".join(map(str, sorted(self.quarantined))) or "(none)"),
             f"elapsed       : {self.elapsed_s:.2f} s",
+            f"blas threads  : {self.blas_threads or 'unchanged'}",
         ]
         if self.shard_attempts:
             worst = max(self.shard_attempts.values())
@@ -534,8 +541,10 @@ class WorkerSupervisor:
     # -- supervised pool path ------------------------------------------
 
     def _new_pool(self) -> ProcessPoolExecutor:
+        """The one pool constructor; each worker starts on one BLAS thread."""
         return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=_pool_context())
+                                   mp_context=_pool_context(),
+                                   initializer=cap_blas_threads)
 
     def _recycle_pool(self, pool: ProcessPoolExecutor
                       ) -> ProcessPoolExecutor:
@@ -734,6 +743,12 @@ class ResilientSweepRunner:
         :class:`~repro.errors.WorkerCrashError`, unless the config
         permits quarantine: quarantined shards leave ``None`` in their
         cells; check :attr:`health`.
+
+        Every trial runs on one BLAS thread, serial or pooled: this
+        process is capped for the run (the pool's lifetime included) and
+        gets its own thread counts back on every exit.  So no trial's
+        float reduction depends on ``workers``, and pool workers do not
+        fight each other's BLAS threads for the cores.
         """
         if trials < 1:
             raise ConfigurationError("trials must be >= 1")
@@ -767,10 +782,11 @@ class ResilientSweepRunner:
             supervisor = WorkerSupervisor(self.workers, self.config,
                                           seed_root=self.seed_root,
                                           fault_injector=self.fault_injector)
-            if self.workers == 1:
-                supervisor.run_serial(fn, todo, health, on_done)
-            else:
-                supervisor.run_pooled(fn, todo, health, on_done)
+            with one_blas_thread() as health.blas_threads:
+                if self.workers == 1:
+                    supervisor.run_serial(fn, todo, health, on_done)
+                else:
+                    supervisor.run_pooled(fn, todo, health, on_done)
         finally:
             if checkpoint is not None:
                 checkpoint.close()
