@@ -16,8 +16,6 @@ same received frames:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.coeffs import (
     wifi_long_preamble_template,
     wifi_short_preamble_template,

@@ -21,11 +21,7 @@ from repro.dsp.resample import resample
 from repro.errors import ConfigurationError
 from repro.hw.register_map import CORRELATOR_LENGTH
 from repro.phy.wifi.params import WIFI_SAMPLE_RATE
-from repro.phy.wifi.preamble import (
-    LONG_GUARD,
-    long_training_symbol,
-    short_preamble,
-)
+from repro.phy.wifi.preamble import long_training_symbol, short_preamble
 from repro.phy.wimax.params import WIMAX_SAMPLE_RATE
 from repro.phy.wimax.preamble import preamble_symbol
 from repro.runtime.cache import cached_artifact

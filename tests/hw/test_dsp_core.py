@@ -9,7 +9,7 @@ from repro.channel.awgn import awgn
 from repro.hw import register_map as regmap
 from repro.hw.cross_correlator import quantize_coefficients
 from repro.hw.dsp_core import CustomDspCore
-from repro.hw.registers import UserRegisterBus, pack_signed_fields
+from repro.hw.registers import pack_signed_fields
 from repro.hw.trigger import TriggerMode, TriggerSource
 from repro.hw.tx_controller import JamWaveform
 

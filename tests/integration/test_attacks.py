@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import units
 from repro.channel.awgn import awgn
@@ -12,7 +11,7 @@ from repro.core.coeffs import wifi_short_preamble_template
 from repro.core.detection import DetectionConfig
 from repro.core.events import JammingEventBuilder
 from repro.core.jammer import ReactiveJammer
-from repro.core.presets import JammerPersonality, reactive_jammer
+from repro.core.presets import JammerPersonality
 from repro.dsp.measure import normalized_cross_correlation
 from repro.dsp.resample import resample
 from repro.hw.tx_controller import JamWaveform

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigurationError, DecodeError
 from repro.mac.dot11 import (
-    Dot11Header,
     FrameType,
     build_ack_frame,
     build_data_frame,

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.mac.frames import FrameKind, MacFrame
 from repro.mac.medium import (
     AGC_CAPTURE_SIR_DB,
-    CCA_ED_DBM,
-    CCA_PREAMBLE_DBM,
-    Emission,
-    EmissionKind,
     Medium,
     SYNC_LOSS_SIR_DB,
 )

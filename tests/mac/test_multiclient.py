@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.presets import reactive_jammer
 from repro.mac.iperf import UdpBandwidthTest

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DecodeError
-from repro.phy.wifi.dsss import DSSS_SAMPLE_RATE, build_dsss_ppdu
+from repro.phy.wifi.dsss import build_dsss_ppdu
 from repro.phy.wifi.dsss_receiver import DsssReceiver
 from repro.phy.zigbee.frame import build_ppdu as build_zigbee_ppdu
 from repro.phy.zigbee.receiver import ZigbeeReceiver

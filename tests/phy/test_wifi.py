@@ -17,7 +17,6 @@ from repro.phy.wifi.frame import (
 )
 from repro.phy.wifi.preamble import (
     LONG_GUARD,
-    LONG_SYMBOL,
     SHORT_PERIOD,
     SHORT_REPEATS,
     long_preamble,

@@ -7,8 +7,8 @@ import pytest
 
 from repro.channel.awgn import awgn
 from repro.errors import DecodeError
-from repro.phy.wimax.frame import build_downlink_frame, downlink_stream
-from repro.phy.wimax.params import WIMAX_SAMPLE_RATE, WimaxConfig
+from repro.phy.wimax.frame import downlink_stream
+from repro.phy.wimax.params import WimaxConfig
 from repro.phy.wimax.receiver import WimaxCellSearcher
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.dsp.fixed_point import IQ16, FixedPointFormat, quantize_iq16, sign_bits_iq
+from repro.dsp.fixed_point import FixedPointFormat, quantize_iq16, sign_bits_iq
 from repro.dsp.filters import moving_sum
 from repro.dsp.ofdm import OfdmParameters, ofdm_demodulate, ofdm_modulate
 from repro.dsp.resample import RationalResampler
