@@ -14,6 +14,14 @@ enforces the speedups on top of byte-identity:
 
 Identity is asserted unconditionally; every record lands in
 ``BENCH_kernels.json`` at the repository root (a CI artifact).
+
+Both sides of both gates run on one BLAS thread
+(:func:`repro.runtime.blas.one_blas_thread`), the count every sweep
+trial runs under.  With the host's default two threads on two cores
+the fused GEMM's time depended on how the second thread was scheduled:
+the fused gate read 0.68x, 1.04x, 0.71x and 12.2x in four runs, and a
+262,144-sample metric took 8.0 ms in 6 of 8 fresh processes against
+3.3-3.8 ms on one thread.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from repro.experiments.detection import (
     threshold_for_false_alarm_rate,
 )
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
+from repro.runtime.blas import one_blas_thread
 from tests.experiments.oracles import count_frames_looped
 
 #: Wall-clock floor for the fused metric vs the seed's four passes.
@@ -107,9 +116,10 @@ def test_bench_fused_metric_vs_seed(kernels_record):
         fused = CrossCorrelator(ci, cq, threshold=threshold)
         return [fused.metric(chunk) for chunk in chunks]
 
-    run_seed(), run_fused()  # warm allocators and BLAS
-    seed_ns, seed_out = _best_of(3, run_seed)
-    fused_ns, fused_out = _best_of(3, run_fused)
+    with one_blas_thread() as blas_threads:
+        run_seed(), run_fused()  # warm allocators and BLAS
+        seed_ns, seed_out = _best_of(3, run_seed)
+        fused_ns, fused_out = _best_of(3, run_fused)
 
     for expected, (got,) in zip(seed_out, fused_out):
         np.testing.assert_array_equal(got, expected)
@@ -126,6 +136,7 @@ def test_bench_fused_metric_vs_seed(kernels_record):
         "speedup": speedup,
         "byte_identical": True,
         "min_speedup": MIN_FUSED_SPEEDUP,
+        "blas_threads": blas_threads,
     }
     assert speedup >= MIN_FUSED_SPEEDUP, (
         f"fused metric is only {speedup:.2f}x faster than the seed "
@@ -148,9 +159,10 @@ def test_bench_batched_trial_vs_seed_loop(kernels_record):
     def run_batched():
         return _xcorr_trial(spec, np.random.default_rng(TRIAL_SEED))
 
-    run_seed_loop(), run_batched()  # warm the frame-arrival cache
-    seed_ns, seed_counts = _best_of(5, run_seed_loop)
-    batched_ns, batched_counts = _best_of(5, run_batched)
+    with one_blas_thread() as blas_threads:
+        run_seed_loop(), run_batched()  # warm the frame-arrival cache
+        seed_ns, seed_counts = _best_of(5, run_seed_loop)
+        batched_ns, batched_counts = _best_of(5, run_batched)
 
     assert batched_counts == seed_counts, \
         "batched trial must reproduce the seed loop's counts exactly"
@@ -168,6 +180,7 @@ def test_bench_batched_trial_vs_seed_loop(kernels_record):
         "counts": list(batched_counts),
         "identical_counts": True,
         "min_speedup": MIN_BATCHED_SPEEDUP,
+        "blas_threads": blas_threads,
     }
     assert speedup >= MIN_BATCHED_SPEEDUP, (
         f"batched trial is only {speedup:.2f}x faster than the seed "
