@@ -8,9 +8,10 @@ enforces the speedups on top of byte-identity:
 * **fused streaming metric** — the windowed GEMM kernel vs the
   seed's four correlation passes on large noise chunks, floor
   ``MIN_FUSED_SPEEDUP``;
-* **batched trial engine** — the chained batch kernel running a full
-  Fig. 6 (full-frame long preamble) trial vs the seed streaming loop
-  over the same frames, floor ``MIN_BATCHED_SPEEDUP``.
+* **batched trial engine** — the trial engine running a full Fig. 6
+  (full-frame long preamble) trial, one kernel call over every
+  frame's in-frame rows, vs the seed streaming loop over the same
+  frames, floor ``MIN_BATCHED_SPEEDUP``.
 
 Identity is asserted unconditionally; every record lands in
 ``BENCH_kernels.json`` at the repository root (a CI artifact).

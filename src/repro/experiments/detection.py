@@ -41,13 +41,17 @@ from repro.errors import ConfigurationError
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
 from repro.hw.energy_differentiator import DEFAULT_DELAY, DEFAULT_WINDOW
 from repro.kernels import (
+    clamped_thresholds,
     energy_detect_batch,
     prepare_coefficients,
+    sign_plane,
+    xcorr_detect,
     xcorr_detect_batch,
 )
 from repro.phy.wifi.frame import WifiFrameConfig, build_ppdu
 from repro.phy.wifi.params import WIFI_SAMPLE_RATE, WifiRate
 from repro.phy.wifi.preamble import long_training_symbol, short_preamble
+from repro.runtime.buffers import ScratchBuffer
 from repro.runtime.cache import cached_artifact
 from repro.runtime.jobs import ResilienceConfig, resilient_sweep
 
@@ -67,6 +71,17 @@ GUARD_SAMPLES = 512
 #: :mod:`repro.runtime.jobs` grid, so this sets the load-balancing
 #: granularity of a parallel curve run.
 FRAMES_PER_TRIAL = 50
+
+#: Per-component scale of unit-power complex noise, ``sqrt(power / 2)``
+#: exactly as :func:`repro.channel.awgn.awgn` applies it.
+_NOISE_SCALE = np.sqrt(0.5)
+
+_TWO_PI = 2.0 * np.pi
+
+#: Grow-only storage for a trial's draw plane: sweeps run trial after
+#: trial in one process, and a fresh plane per trial would pay its
+#: page faults every time.
+_DRAWS = ScratchBuffer(np.float64)
 
 #: Seed-sequence spice decorrelating the frame-synthesis generator
 #: from the per-trial noise generators that share the same user seed.
@@ -123,6 +138,12 @@ def measured_false_alarm_rate(correlator: CrossCorrelator, duration_s: float,
     byte-identical to streaming the same noise through
     ``correlator.detect`` from reset state.
     """
+    if not duration_s > 0:
+        raise ConfigurationError(
+            f"calibration duration must be positive, got {duration_s} s")
+    if chunk_samples < 1:
+        raise ConfigurationError(
+            f"chunk_samples must be at least 1, got {chunk_samples}")
     total_samples = int(duration_s * units.BASEBAND_RATE)
     prepared = correlator.prepared_coefficients
     thresholds = correlator.thresholds
@@ -208,83 +229,132 @@ class _CurveTrialSpec:
     energy_threshold_db: float | None = None
 
 
+def _draw_plane(rng: np.random.Generator, n_frames: int,
+                sizes: list[int], warmup: int, phased: bool
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Every random draw of one trial, in the streaming loop's order.
+
+    Per frame that order is the arrival pick, the carrier phase (for
+    correlator trials) and the noise, drawn as
+    :func:`repro.channel.awgn.awgn` draws it: one ``standard_normal``
+    call of twice the frame's length, real half first.  Returns
+    ``(plane, picks, phases)``: ``plane`` is ``(rows, 2, width)``
+    float64 unit normals with row ``r``'s real draws in
+    ``plane[r, 0, :length]`` and its imaginary draws in
+    ``plane[r, 1, :length]``, zero past its length.  A non-zero
+    ``warmup`` is drawn first, as row 0.  The plane is a view of
+    module scratch, valid until the next trial in this process.
+    """
+    first = 1 if warmup else 0
+    width = max(sizes)
+    rows = n_frames + first
+    flat = _DRAWS.view(rows * 2 * width).reshape(rows, 2 * width)
+    picks = np.empty(n_frames, dtype=np.int64)
+    phases = np.empty(n_frames) if phased else None
+    if warmup:
+        _draw_row(rng, flat[0], warmup)
+    for frame in range(n_frames):
+        pick = rng.integers(0, len(sizes))
+        picks[frame] = pick
+        if phased:
+            # The sign-slicing correlator has 90-degree phase
+            # resolution, so each frame gets a random carrier phase.
+            # uniform(0, 2pi) is low + (high - low) * u of one draw;
+            # with low = 0 this is the same double, without the call.
+            phases[frame] = _TWO_PI * rng.random()
+        size = sizes[pick]
+        row = flat[first + frame]
+        if size == width:
+            rng.standard_normal(out=row)
+        else:
+            _draw_row(rng, row, size)
+    return flat.reshape(rows, 2, width), picks, phases
+
+
+def _draw_row(rng: np.random.Generator, row: np.ndarray, size: int) -> None:
+    """Draw ``size`` noise samples into a flat ``[real | imag]`` plane row.
+
+    The draws land contiguously; the imaginary half then moves to the
+    row's second half and both pads are zeroed.
+    """
+    width = row.size // 2
+    rng.standard_normal(out=row[:2 * size])
+    row[width:width + size] = row[size:2 * size]
+    row[size:width] = 0.0
+    row[width + size:] = 0.0
+
+
 def _count_frames(spec: _CurveTrialSpec, rng: np.random.Generator
                   ) -> tuple[int, int]:
     """Batched frame engine: (frames detected, total in-frame triggers).
 
-    Draws every frame of the trial into one ``(rows, width)`` block
-    matrix in the RNG order of the streaming loop (frame pick, carrier
-    phase for correlator trials, then the noise, real half first),
-    adds the frames in one pass afterwards, and runs a single chained
-    batch-kernel call.  Per-frame counts are byte-identical to feeding
-    the frames one by one through the streaming detectors; the
-    per-frame loop lives on in the tests as the oracle.
+    Draws the trial into one plane in the RNG order of the streaming
+    loop (:func:`_draw_plane`), then scales and assembles as complex
+    only the columns the detector reads, and adds the frames in one
+    pass.  Per-frame counts are byte-identical to feeding the frames
+    one by one through the streaming detectors; the per-frame loop
+    lives on in the tests as the oracle.
 
     A frame counts only the rising edges at columns ``>= GUARD_SAMPLES``,
     and an edge at column ``c`` reads the triggers at ``c`` and
     ``c - 1``.  The first trigger that matters is therefore the one at
     ``GUARD_SAMPLES - 1``, whose ``taps``-sample window starts at
-    ``GUARD_SAMPLES - taps``, so correlator rows run through the kernel
-    from that column on only.  The stitched history and the chained
-    carry then touch the tail's first ``taps - 1`` columns and its
-    column-0 edge, all outside the in-frame window.  (A bank longer
-    than the guard keeps full rows.)  Energy rows keep their full
-    width: their float moving sums run on unquantized samples, and
-    where a row's cumulative sum starts changes their rounding (see
+    ``GUARD_SAMPLES - taps``.  Correlator rows start at that column and
+    are not chained: each row's own first ``taps - 1`` samples are its
+    history, so the kernel evaluates only the windows ending at columns
+    ``GUARD_SAMPLES - 1`` onwards, and an edge is one compare of
+    adjacent triggers.  A bank longer than the guard would need the
+    previous frame as history and is rejected.  Energy rows keep their
+    full width and are chained through :func:`energy_detect_batch`:
+    their float moving sums run on unquantized samples, and where a
+    row's cumulative sum starts changes their rounding (see
     :mod:`repro.kernels.energy`).
     """
     arrivals = _frame_arrivals(spec.frame_kind, spec.frame_seed)
     scale = np.sqrt(units.db_to_linear(spec.snr_db))
     energy_mode = spec.energy_threshold_db is not None
     if energy_mode:
-        warmup, lead = 4 * DEFAULT_DELAY, 0
+        warmup, start = 4 * DEFAULT_DELAY, 0
     else:
         prepared = prepare_coefficients([(spec.coeffs_i, spec.coeffs_q)])
-        warmup, lead = 0, max(0, GUARD_SAMPLES - prepared.taps)
+        if prepared.taps > GUARD_SAMPLES:
+            raise ConfigurationError(
+                f"a {prepared.taps}-tap bank is longer than the "
+                f"{GUARD_SAMPLES}-sample guard")
+        warmup, start = 0, GUARD_SAMPLES - prepared.taps
+    frame_sizes = np.array([a.size for a in arrivals])
+    plane, picks, phases = _draw_plane(
+        rng, spec.n_frames, [GUARD_SAMPLES + n for n in frame_sizes.tolist()],
+        warmup, phased=not energy_mode)
     first = 1 if warmup else 0
-    n_rows = spec.n_frames + first
-    frame_size = max(a.size for a in arrivals)
-    width = GUARD_SAMPLES + frame_size
-    blocks = np.zeros((n_rows, width), dtype=np.complex128)
-    lengths = np.empty(n_rows, dtype=np.int64)
-    if warmup:
-        # The streaming loop warms the energy detector on noise before
-        # the first frame; the batched path keeps that draw as row 0
-        # and discards its edges below.
-        awgn(warmup, 1.0, rng, out=blocks[0, :warmup])
-        lengths[0] = warmup
-    picks = np.empty(spec.n_frames, dtype=np.int64)
-    phases = np.empty(spec.n_frames)
-    for frame in range(spec.n_frames):
-        pick = rng.integers(0, len(arrivals))
-        picks[frame] = pick
-        if not energy_mode:
-            # The sign-slicing correlator has 90-degree phase
-            # resolution, so each frame gets a random carrier phase.
-            phases[frame] = rng.uniform(0.0, 2.0 * np.pi)
-        size = GUARD_SAMPLES + arrivals[pick].size
-        awgn(size, 1.0, rng, out=blocks[first + frame, :size])
-        lengths[first + frame] = size
 
-    # Zero-padded arrivals: a padded column adds zero past its row's
-    # length, where nothing reads it.
-    padded = np.zeros((len(arrivals), frame_size), dtype=np.complex128)
+    # The awgn scaling, on the read columns only; a frame's zero
+    # padding stays zero.
+    rows = np.empty((plane.shape[0], plane.shape[2] - start),
+                    dtype=np.complex128)
+    np.multiply(plane[:, 0, start:], _NOISE_SCALE, out=rows.real)
+    np.multiply(plane[:, 1, start:], _NOISE_SCALE, out=rows.imag)
+    padded = np.zeros((len(arrivals), frame_sizes.max()),
+                      dtype=np.complex128)
     for index, arrival in enumerate(arrivals):
         padded[index, :arrival.size] = arrival
     factors = scale if energy_mode else scale * np.exp(1j * phases)[:, None]
-    blocks[first:, GUARD_SAMPLES:] += padded[picks] * factors
+    rows[first:, GUARD_SAMPLES - start:] += padded[picks] * factors
 
+    lengths = frame_sizes[picks]
     if energy_mode:
         threshold = units.db_to_linear(spec.energy_threshold_db)
-        result = energy_detect_batch(blocks, lengths,
-                                     DEFAULT_WINDOW, DEFAULT_DELAY,
-                                     threshold, threshold)
-        edge_plane = result.edge_high
+        result = energy_detect_batch(
+            rows, np.concatenate([[warmup], GUARD_SAMPLES + lengths]),
+            DEFAULT_WINDOW, DEFAULT_DELAY, threshold, threshold)
+        in_frame = result.edge_high[first:, GUARD_SAMPLES:]
     else:
-        result = xcorr_detect_batch(blocks[:, lead:], lengths - lead,
-                                    prepared, [spec.threshold])
-        edge_plane = result.edge_plane[:, 0]
-    in_frame = edge_plane[first:, GUARD_SAMPLES - lead:]
+        limits = clamped_thresholds(prepared, [spec.threshold])
+        # trigger[:, j] is the window ending at column GUARD_SAMPLES - 1 + j.
+        trigger = xcorr_detect(sign_plane(rows), prepared, limits)[:, 0]
+        in_frame = trigger[:, 1:] > trigger[:, :-1]
+        if np.any(lengths < in_frame.shape[1]):
+            in_frame &= np.arange(in_frame.shape[1]) < lengths[:, None]
     per_frame = in_frame.sum(axis=1)
     return int((per_frame > 0).sum()), int(per_frame.sum())
 
@@ -303,6 +373,9 @@ def _energy_trial(spec: _CurveTrialSpec, rng: np.random.Generator
 
 def _trial_batches(n_frames: int) -> list[int]:
     """Split a point's frame budget into per-trial batch sizes."""
+    if n_frames < 1:
+        raise ConfigurationError(
+            f"a curve point needs at least 1 frame, got {n_frames}")
     full, rest = divmod(n_frames, FRAMES_PER_TRIAL)
     return [FRAMES_PER_TRIAL] * full + ([rest] if rest else [])
 
@@ -351,6 +424,7 @@ def _detection_curve(template: np.ndarray, frame_kind: str,
     :class:`~repro.runtime.jobs.ResilienceConfig` retries failed shards
     but never quarantines: a curve with holes is not a result.
     """
+    batches = _trial_batches(n_frames)
     coeffs_i, coeffs_q = quantize_coefficients(template)
     threshold = threshold_for_false_alarm_rate(coeffs_i, coeffs_q,
                                                fa_per_second)
@@ -360,7 +434,7 @@ def _detection_curve(template: np.ndarray, frame_kind: str,
                         coeffs_i=coeffs_i, coeffs_q=coeffs_q,
                         threshold=threshold)
         for snr_db in snrs_db
-        for batch in _trial_batches(n_frames)
+        for batch in batches
     ]
     outcomes = resilient_sweep(
         _xcorr_trial, specs, workers=workers, seed_root=seed,
@@ -424,6 +498,7 @@ def roc_curve(template: np.ndarray, snr_db: float,
     Every operating point replays the same seeded trials, so only the
     threshold varies between the returned pairs.
     """
+    _trial_batches(n_frames)  # reject a bad budget before any point runs
     points = []
     for fa in fa_rates_per_s:
         curve = _detection_curve(template, frame_kind, [snr_db], n_frames,
@@ -448,12 +523,13 @@ def energy_detector_curve(snrs_db: list[float], n_frames: int = 500,
     -3 and 8 dB SNR.  Runs on the same sweep grid as the correlator
     curves, so the result is independent of ``workers``.
     """
+    batches = _trial_batches(n_frames)
     specs = [
         _CurveTrialSpec(frame_kind="full", snr_db=snr_db,
                         n_frames=batch, frame_seed=seed,
                         energy_threshold_db=threshold_db)
         for snr_db in snrs_db
-        for batch in _trial_batches(n_frames)
+        for batch in batches
     ]
     outcomes = resilient_sweep(
         _energy_trial, specs, workers=workers, seed_root=seed,

@@ -11,6 +11,8 @@ from repro.core.coeffs import (
     wifi_short_preamble_template,
 )
 from repro.core.presets import reactive_jammer
+from repro.errors import ConfigurationError
+from repro.experiments import detection
 from repro.experiments.detection import (
     DetectionPoint,
     _CurveTrialSpec,
@@ -19,6 +21,7 @@ from repro.experiments.detection import (
     energy_detector_curve,
     long_preamble_curve,
     measured_false_alarm_rate,
+    roc_curve,
     short_preamble_curve,
     threshold_for_false_alarm_rate,
 )
@@ -27,6 +30,7 @@ from repro.experiments.timelines import jamming_timelines, measure_response_time
 from repro.experiments.wifi_jamming import WifiJammingTestbed
 from repro.experiments.wimax_jamming import run_experiment
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
+from tests.experiments import oracles
 from tests.experiments.oracles import (
     energy_trial_looped,
     rising_edges,
@@ -58,6 +62,21 @@ class TestFalseAlarmCalibration:
         with pytest.raises(Exception):
             threshold_for_false_alarm_rate(ci, cq, 0.0)
 
+    @pytest.mark.parametrize("duration_s", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_duration(self, rng, duration_s):
+        ci, cq = quantize_coefficients(wifi_long_preamble_template())
+        corr = CrossCorrelator(ci, cq, threshold=1000)
+        with pytest.raises(ConfigurationError, match="duration"):
+            measured_false_alarm_rate(corr, duration_s=duration_s, rng=rng)
+
+    @pytest.mark.parametrize("chunk_samples", [0, -8])
+    def test_rejects_empty_chunks(self, rng, chunk_samples):
+        ci, cq = quantize_coefficients(wifi_long_preamble_template())
+        corr = CrossCorrelator(ci, cq, threshold=1000)
+        with pytest.raises(ConfigurationError, match="chunk_samples"):
+            measured_false_alarm_rate(corr, duration_s=0.001, rng=rng,
+                                      chunk_samples=chunk_samples)
+
 
 class TestBatchedTrialIdentity:
     """The batched trial engine reproduces the streaming loop exactly."""
@@ -73,10 +92,13 @@ class TestBatchedTrialIdentity:
                                coeffs_i=ci, coeffs_q=cq,
                                threshold=threshold)
         for seed in (1, 2, 3):
-            batched = _xcorr_trial(spec, np.random.default_rng(seed))
-            looped = xcorr_trial_looped(spec,
-                                        np.random.default_rng(seed))
+            batched_rng = np.random.default_rng(seed)
+            looped_rng = np.random.default_rng(seed)
+            batched = _xcorr_trial(spec, batched_rng)
+            looped = xcorr_trial_looped(spec, looped_rng)
             assert batched == looped
+            assert batched_rng.bit_generator.state \
+                == looped_rng.bit_generator.state
 
     @settings(max_examples=25, deadline=None)
     @given(frame_kind=st.sampled_from(["full", "single_long", "single_short"]),
@@ -104,18 +126,86 @@ class TestBatchedTrialIdentity:
                                n_frames=n_frames, frame_seed=seed % 1000,
                                coeffs_i=ci, coeffs_q=cq,
                                threshold=threshold)
-        assert _xcorr_trial(spec, np.random.default_rng(seed)) \
-            == xcorr_trial_looped(spec, np.random.default_rng(seed))
+        batched_rng = np.random.default_rng(seed)
+        looped_rng = np.random.default_rng(seed)
+        assert _xcorr_trial(spec, batched_rng) \
+            == xcorr_trial_looped(spec, looped_rng)
+        assert batched_rng.bit_generator.state \
+            == looped_rng.bit_generator.state
 
     def test_energy_trial_matches_looped(self):
         spec = _CurveTrialSpec(frame_kind="full", snr_db=3.0,
                                n_frames=30, frame_seed=77,
                                energy_threshold_db=10.0)
         for seed in (1, 2, 3):
-            batched = _energy_trial(spec, np.random.default_rng(seed))
-            looped = energy_trial_looped(spec,
-                                         np.random.default_rng(seed))
+            batched_rng = np.random.default_rng(seed)
+            looped_rng = np.random.default_rng(seed)
+            batched = _energy_trial(spec, batched_rng)
+            looped = energy_trial_looped(spec, looped_rng)
             assert batched == looped
+            assert batched_rng.bit_generator.state \
+                == looped_rng.bit_generator.state
+
+    @pytest.mark.parametrize("energy", [False, True])
+    def test_ragged_arrivals_match_looped(self, monkeypatch, energy):
+        """Arrivals of unequal length pad their rows; counts still match.
+
+        Every frame kind's four arrivals have one length, so this
+        trims them to four lengths to reach the padded-row path.
+        """
+        arrivals = detection._frame_arrivals("full", 77)
+        ragged = tuple(arrival[:arrival.size - cut]
+                       for arrival, cut in zip(arrivals, (0, 1, 3, 2)))
+        for module in (detection, oracles):
+            monkeypatch.setattr(module, "_frame_arrivals",
+                                lambda kind, seed: ragged)
+        if energy:
+            spec = _CurveTrialSpec(frame_kind="full", snr_db=12.0,
+                                   n_frames=20, frame_seed=77,
+                                   energy_threshold_db=10.0)
+            trial, looped = _energy_trial, energy_trial_looped
+        else:
+            ci, cq = quantize_coefficients(wifi_long_preamble_template())
+            threshold = threshold_for_false_alarm_rate(ci, cq, 1.2e7)
+            spec = _CurveTrialSpec(frame_kind="full", snr_db=0.0,
+                                   n_frames=20, frame_seed=77,
+                                   coeffs_i=ci, coeffs_q=cq,
+                                   threshold=threshold)
+            trial, looped = _xcorr_trial, xcorr_trial_looped
+        for seed in (1, 2):
+            # Stale scratch from an earlier trial must not reach the
+            # arithmetic past a row's end.
+            detection._DRAWS.view(1 << 17)[:] = 1e300
+            batched_rng = np.random.default_rng(seed)
+            looped_rng = np.random.default_rng(seed)
+            with np.errstate(over="raise", invalid="raise"):
+                batched = trial(spec, batched_rng)
+            assert batched == looped(spec, looped_rng)
+            assert batched_rng.bit_generator.state \
+                == looped_rng.bit_generator.state
+
+    def test_bank_longer_than_guard_rejected(self):
+        """Such a bank's first window would reach into the last frame."""
+        taps = detection.GUARD_SAMPLES + 1
+        spec = _CurveTrialSpec(frame_kind="single_long", snr_db=0.0,
+                               n_frames=2, frame_seed=1,
+                               coeffs_i=np.ones(taps, dtype=np.int64),
+                               coeffs_q=np.ones(taps, dtype=np.int64),
+                               threshold=1)
+        with pytest.raises(ConfigurationError, match="guard"):
+            _xcorr_trial(spec, np.random.default_rng(0))
+
+    def test_phase_draw_equals_uniform(self):
+        """2 pi * random() is uniform(0, 2 pi) from the same draw."""
+        scaled, uniform = (np.random.default_rng(5),
+                           np.random.default_rng(5))
+        np.testing.assert_array_equal(
+            2.0 * np.pi * scaled.random(100_000),
+            uniform.uniform(0.0, 2.0 * np.pi, 100_000))
+        for _ in range(1000):
+            assert 2.0 * np.pi * scaled.random() \
+                == uniform.uniform(0.0, 2.0 * np.pi)
+        assert scaled.bit_generator.state == uniform.bit_generator.state
 
     def test_false_alarm_rate_matches_streaming_facade(self, rng):
         """The chained batch calibration equals detect()+rising_edges."""
@@ -262,6 +352,29 @@ class TestPinnedCurves:
         # Each point replays its own trial seeds, so the two points at
         # one SNR are independent draws, not one tally reported twice.
         assert points[0] != points[1]
+
+
+class TestFrameBudget:
+    """A curve point needs at least one frame."""
+
+    @pytest.mark.parametrize("n_frames", [0, -3, -5])
+    @pytest.mark.parametrize("curve", [
+        lambda n: long_preamble_curve([0.0], n_frames=n, full_frames=False),
+        lambda n: long_preamble_curve([0.0], n_frames=n),
+        lambda n: short_preamble_curve([0.0], n_frames=n),
+        lambda n: energy_detector_curve([9.0], n_frames=n),
+        lambda n: roc_curve(wifi_long_preamble_template(), snr_db=0.0,
+                            fa_rates_per_s=[0.083], n_frames=n),
+        lambda n: roc_curve(wifi_long_preamble_template(), snr_db=0.0,
+                            fa_rates_per_s=[], n_frames=n),
+    ], ids=["fig6_single", "fig6_full", "fig7", "fig8", "roc", "roc_empty"])
+    def test_rejects_fewer_than_one_frame(self, curve, n_frames):
+        with pytest.raises(ConfigurationError, match="at least 1 frame"):
+            curve(n_frames)
+
+    def test_one_frame_is_a_point(self):
+        (point,) = long_preamble_curve([6.0], n_frames=1, full_frames=False)
+        assert point.n_frames == 1
 
 
 class TestTable1:
