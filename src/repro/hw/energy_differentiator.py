@@ -14,8 +14,11 @@ thresholds:
 The moving sum needs at most ``N`` samples to charge, so an energy-high
 detection takes at most 32 samples = 128 clocks = 1.28 us (the paper's
 T_en_det).  On IQ16 input the energies and sums are exact, as in the
-paper's fixed-point block, so chunked sums equal single-shot sums for
-chunks shorter than 2**22 samples (see :mod:`repro.kernels.energy`).
+paper's fixed-point block, while one cumulative sum over the
+``window``-sample tail and ``n`` chunk samples has
+``window + n <= 2**22`` entries (see :mod:`repro.kernels.energy`).  A
+longer chunk runs in pieces that stay within that bound, so chunked
+sums equal single-shot sums for every chunking.
 
 :meth:`EnergyDifferentiator.detect` writes the two trigger rows of
 the DSP core's stacked trigger plane; rising edges and their carries
@@ -28,7 +31,7 @@ import numpy as np
 
 from repro import units
 from repro.errors import ConfigurationError, StreamError
-from repro.kernels import energies, moving_sums
+from repro.kernels import EXACT_SUM_LENGTH, energies, moving_sums
 from repro.runtime.buffers import ScratchBuffer
 
 #: Moving-sum window length in samples (paper's implementation).
@@ -52,8 +55,9 @@ class EnergyDifferentiator:
                  threshold_low_db: float = 10.0,
                  window: int = DEFAULT_WINDOW,
                  delay: int = DEFAULT_DELAY) -> None:
-        if window < 1:
-            raise ConfigurationError("window must be >= 1")
+        if not 1 <= window < EXACT_SUM_LENGTH:
+            raise ConfigurationError(
+                f"window must be in [1, {EXACT_SUM_LENGTH})")
         if delay < 1:
             raise ConfigurationError("delay must be >= 1")
         self._window = window
@@ -142,6 +146,26 @@ class EnergyDifferentiator:
                      out: np.ndarray) -> np.ndarray:
         """Advance the moving sum over a non-empty chunk into ``out``.
 
+        A chunk longer than one exact cumulative sum holds (``window +
+        n`` over :data:`EXACT_SUM_LENGTH`) runs in pieces that each
+        stay within it.
+        """
+        piece = EXACT_SUM_LENGTH - self._window
+        n = samples.size
+        if n <= piece:
+            self._exact_sums(samples, out)
+        else:
+            for begin in range(0, n, piece):
+                self._exact_sums(samples[begin:begin + piece],
+                                 out[begin:begin + piece])
+        if self._metric_chunks is not None:
+            self._metric_chunks.inc()
+            self._metric_samples.inc(n)
+        return out
+
+    def _exact_sums(self, samples: np.ndarray, out: np.ndarray) -> None:
+        """Moving sums of at most ``EXACT_SUM_LENGTH - window`` samples.
+
         The energies are written straight into the ``[tail | chunk]``
         scratch and summed by the kernels the batch form shares.
         """
@@ -156,10 +180,6 @@ class EnergyDifferentiator:
         # New tail = last `window` entries of [tail | energy]; the
         # scratch is distinct storage, so this holds for any chunk size.
         self._energy_tail[:] = padded[n:]
-        if self._metric_chunks is not None:
-            self._metric_chunks.inc()
-            self._metric_samples.inc(n)
-        return out
 
     def energy_sums(self, samples: np.ndarray) -> np.ndarray:
         """The moving energy sum per incoming sample (consumes input)."""

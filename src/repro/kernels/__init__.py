@@ -21,6 +21,7 @@ trigger rows into one plane and takes its edges with
 from __future__ import annotations
 
 from repro.kernels.energy import (
+    EXACT_SUM_LENGTH,
     EnergyBatchResult,
     energies,
     energy_detect_batch,
@@ -41,6 +42,7 @@ from repro.kernels.xcorr import (
 )
 
 __all__ = [
+    "EXACT_SUM_LENGTH",
     "EnergyBatchResult",
     "StackedBatchResult",
     "StackedCoefficients",

@@ -8,11 +8,14 @@ samples, what the DDC delivers and the stream path sees, I and Q are
 multiples of 2**-15 in [-1, 1), so every energy is a multiple of
 2**-30 no larger than 2 and is exact in float64, as the paper's
 fixed-point block (Fig. 4) is.  The moving sum is a float64
-cumulative-sum difference over ``[tail | energies]``; while a row has
-at most 2**22 entries every partial sum is a multiple of 2**-30 no
-larger than 2**23, so it is exact too, and no sum depends on where its
-chunk (or batch row) started.  Longer chunks only round, as any float
-sum does.
+cumulative-sum difference over ``[window-sample tail | energies]``;
+while that has at most :data:`EXACT_SUM_LENGTH` (2**22) entries, that
+is ``window + n <= 2**22`` for ``n`` samples, every partial sum is a
+multiple of 2**-30 no larger than 2**23, so it is exact too, and no
+sum depends on where its chunk (or batch row) started.  Longer sums
+round, as any float sum does, so the streaming facade runs a longer
+chunk in pieces that stay within the bound; the batch kernel's rows
+(``window + width`` entries) are far inside it.
 
 A batched row still needs the stream's state, so the chained kernel
 stitches two per-row carries:
@@ -34,6 +37,10 @@ import numpy as np
 from repro.errors import StreamError
 from repro.kernels.xcorr import chained_edges
 from repro.runtime.buffers import ScratchBuffer
+
+#: Most entries one float64 cumulative sum of IQ16 energies holds
+#: exactly, the window-sample tail included.
+EXACT_SUM_LENGTH = 1 << 22
 
 #: Grow-only cumulative-sum storage for the batch kernel.
 _CSUM = ScratchBuffer(np.float64)

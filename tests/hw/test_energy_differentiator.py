@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dsp.fixed_point import quantize_iq16
 from repro.errors import ConfigurationError, StreamError
+from repro.hw import energy_differentiator
 from repro.hw.energy_differentiator import (
     DEFAULT_DELAY,
     DEFAULT_WINDOW,
@@ -15,7 +16,7 @@ from repro.hw.energy_differentiator import (
     THRESHOLD_MAX_DB,
     THRESHOLD_MIN_DB,
 )
-from repro.kernels import edge_mask
+from repro.kernels import EXACT_SUM_LENGTH, edge_mask, moving_sums
 
 
 def reference_sums(signal: np.ndarray, window: int) -> np.ndarray:
@@ -81,6 +82,71 @@ class TestEnergySums:
         det = EnergyDifferentiator()
         high, low = det.detect(np.zeros(0, dtype=complex))
         assert high.size == 0 and low.size == 0
+
+
+class TestExactSumBound:
+    """A chunk longer than one exact cumulative sum runs in pieces.
+
+    The real bound, 2**22 entries, needs about half a gigabyte to
+    cross, so these tests lower it; the pieces' sums are exact either
+    way, and what is checked is that no cumulative sum outgrows the
+    bound and that the pieces' carries join up.
+    """
+
+    BOUND = 1000
+
+    @pytest.fixture
+    def cumsum_lengths(self, monkeypatch):
+        """Lower the bound; record the length of every cumulative sum."""
+        lengths = []
+
+        def spy(padded, window, out, csum):
+            lengths.append(padded.shape[-1])
+            return moving_sums(padded, window, out, csum)
+
+        monkeypatch.setattr(energy_differentiator, "EXACT_SUM_LENGTH",
+                            self.BOUND)
+        monkeypatch.setattr(energy_differentiator, "moving_sums", spy)
+        return lengths
+
+    @staticmethod
+    def _loud_iq16(n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        return quantize_iq16(x)
+
+    @pytest.mark.parametrize("n", [967, 968, 969, 2 * 968, 5000])
+    def test_energy_sums_pieces_stay_within_bound(self, cumsum_lengths, n):
+        x = self._loud_iq16(n, seed=n)
+        det = EnergyDifferentiator()
+        chunked = np.concatenate([det.energy_sums(x[a:a + 100])
+                                  for a in range(0, n, 100)])
+        cumsum_lengths.clear()
+        whole = EnergyDifferentiator().energy_sums(x)
+        assert max(cumsum_lengths) <= self.BOUND
+        assert sum(length - DEFAULT_WINDOW
+                   for length in cumsum_lengths) == n
+        np.testing.assert_array_equal(whole, chunked)
+
+    def test_detect_pieces_stay_within_bound(self, cumsum_lengths):
+        n = 5000
+        x = self._loud_iq16(n, seed=7)
+        x[2500:2600] *= 0.01  # a fall and a rise across a piece joint
+        det = EnergyDifferentiator(threshold_high_db=3.0,
+                                   threshold_low_db=3.0)
+        chunked = np.concatenate([det.detect(x[a:a + 100])
+                                  for a in range(0, n, 100)], axis=1)
+        cumsum_lengths.clear()
+        whole = EnergyDifferentiator(threshold_high_db=3.0,
+                                     threshold_low_db=3.0).detect(x)
+        assert max(cumsum_lengths) <= self.BOUND
+        assert len(cumsum_lengths) == -(-n // (self.BOUND - DEFAULT_WINDOW))
+        np.testing.assert_array_equal(whole, chunked)
+        assert whole[0].any() and whole[1].any()
+
+    def test_rejects_window_past_bound(self):
+        with pytest.raises(ConfigurationError):
+            EnergyDifferentiator(window=EXACT_SUM_LENGTH)
 
 
 class TestTriggers:
