@@ -21,7 +21,7 @@ Layering (see DESIGN.md for the full inventory):
 * :mod:`repro.core` — the jamming framework facade: templates,
   detection configs, event builder, personalities, timeline analysis.
 * :mod:`repro.telemetry` — opt-in sample-accurate tracing, metrics,
-  host profiling, and the Fig. 5 latency-budget checker.
+  host-timed stage spans, and the Fig. 5 latency-budget checker.
 * :mod:`repro.experiments` — one harness per paper table/figure.
 
 Quickstart::

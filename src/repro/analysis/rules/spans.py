@@ -2,15 +2,16 @@
 
 Two whole-program facts keep the telemetry layer honest:
 
-1. **Spans must actually span.**  The profiler's scopes
-   (``HostProfiler.profile`` and every ``@contextmanager``-decorated
-   project function) only open and close when entered with ``with``.
-   A bare statement call — ``profiler.profile("xcorr")`` — builds the
-   context manager, records nothing, and closes nothing: the span is
-   opened in the author's head and never on the timeline.  The rule
+1. **Spans must actually span.**  A ``@contextmanager``-decorated
+   project function (``repro.runtime.blas.one_blas_thread``, say)
+   only opens and closes its scope when entered with ``with``.  A
+   bare statement call — ``one_blas_thread()`` — builds the context
+   manager, runs nothing of it, and closes nothing: the scope is
+   opened in the author's head and never in the program.  The rule
    resolves calls through the project symbol table, so any project
-   context manager discarded as a bare expression statement is caught,
-   not just the telemetry ones.
+   context manager discarded as a bare expression statement is
+   caught; a ``.profile(...)`` call on a receiver it cannot resolve
+   is treated as such a scope too.
 
 2. **Probe points must tolerate ``NULL_TRACER``.**  Every tracer
    attribute the instrumented code touches must exist on the base
@@ -94,7 +95,7 @@ class SpanPairingRule(ProjectRule):
     code = "RJ012"
     name = "telemetry-span-pairing"
     description = (
-        "profiler/contextmanager span scopes must be entered with "
+        "contextmanager span scopes must be entered with "
         "'with' (a bare call opens nothing), and tracer probe points "
         "may only touch the base Tracer interface so NULL_TRACER "
         "always tolerates them"

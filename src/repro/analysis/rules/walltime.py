@@ -9,9 +9,9 @@ being reproducible, latency numbers start depending on the host's
 load, and the Fig. 5 analysis silently measures the simulator instead
 of the simulated hardware.
 
-Host timing belongs in :mod:`repro.telemetry` (the profiler and
-timebase, where the wall clock is injectable) and in the benchmark
-suite.  Model code that needs "now" must use the core's sample clock.
+Host timing belongs in :mod:`repro.telemetry` (``Telemetry.attach``
+times the data-path stages on the timebase's injectable wall clock)
+and in the benchmark suite.  Model code that needs "now" must use the core's sample clock.
 """
 
 from __future__ import annotations

@@ -141,8 +141,6 @@ class CrossCorrelator:
         self._history = np.zeros(2 * (CORRELATOR_LENGTH - 1),
                                  dtype=np.int8)
         self._plane_scratch = ScratchBuffer(np.int8)
-        self._metric_chunks = None
-        self._metric_samples = None
         if coeffs_i is None and coeffs_q is None:
             coeffs_i = coeffs_q = np.zeros(CORRELATOR_LENGTH,
                                            dtype=np.int64)
@@ -287,23 +285,6 @@ class CrossCorrelator:
         self._limits = clamped_thresholds(self._prepared, self._thresholds)
 
     # ------------------------------------------------------------------
-    # Telemetry
-
-    def attach_metrics(self, registry) -> None:
-        """Fold per-chunk throughput counters into a metrics registry.
-
-        Exposes ``kernels.xcorr.chunks`` / ``kernels.xcorr.samples``;
-        every correlator on a registry counts into the same pair.
-        Pass ``None`` to detach.
-        """
-        if registry is None:
-            self._metric_chunks = None
-            self._metric_samples = None
-            return
-        self._metric_chunks = registry.counter("kernels.xcorr.chunks")
-        self._metric_samples = registry.counter("kernels.xcorr.samples")
-
-    # ------------------------------------------------------------------
     # Streaming state
 
     def reset(self) -> None:
@@ -317,11 +298,6 @@ class CrossCorrelator:
             raise StreamError("CrossCorrelator expects a 1-D sample chunk")
         return samples
 
-    def _count(self, n: int) -> None:
-        if self._metric_chunks is not None:
-            self._metric_chunks.inc()
-            self._metric_samples.inc(n)
-
     def _assemble_plane(self, samples: np.ndarray) -> np.ndarray:
         """[history | chunk] interleaved sign plane in scratch storage."""
         history = self._history.size
@@ -331,7 +307,6 @@ class CrossCorrelator:
         # The new history is the last 63 sign pairs of the plane; the
         # scratch is distinct storage, so this holds for any chunk size.
         self._history[:] = plane[2 * samples.size:]
-        self._count(samples.size)
         return plane
 
     def _advance_history(self, samples: np.ndarray) -> None:
@@ -349,7 +324,6 @@ class CrossCorrelator:
         else:
             history[:-2 * n] = history[2 * n:]
             sign_plane(samples, out=history[-2 * n:])
-        self._count(n)
 
     def metric(self, samples: np.ndarray) -> np.ndarray:
         """Per-bank squared correlation metric, ``(K, n)``.

@@ -21,7 +21,6 @@ reference implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,9 +28,6 @@ from repro.dsp.fixed_point import quantize_iq16
 from repro.errors import ConfigurationError, RegisterError, StreamError
 from repro.hw import register_map as regmap
 from repro.telemetry.tracer import CAT_DETECTOR, CAT_TX, NULL_TRACER, Tracer
-
-if TYPE_CHECKING:
-    from repro.telemetry.profiler import HostProfiler
 from repro.hw.watchdog import Watchdog
 from repro.hw.cross_correlator import (
     DEFAULT_BANK_LABELS,
@@ -133,10 +129,9 @@ class CustomDspCore:
         self.energy = EnergyDifferentiator()
         self.fsm = TriggerStateMachine([TriggerSource.ENERGY_HIGH])
         self.tx = TransmitController()
-        #: Telemetry probes; the null tracer / no profiler by default
-        #: (see :mod:`repro.telemetry` — opt-in observability).
+        #: Telemetry probe; the null tracer by default (see
+        #: :mod:`repro.telemetry` — opt-in observability).
         self._tracer: Tracer = NULL_TRACER
-        self.profiler: "HostProfiler | None" = None
         self._clock = 0  # absolute index of the next sample to process
         # One trigger carry per correlator: the last column of its K
         # bank rows and of the two energy rows, from the previous chunk
@@ -538,15 +533,8 @@ class CustomDspCore:
         rows = carry.size
         k = rows - 2
         triggers = self._trigger_scratch.view(rows * n).reshape(rows, n)
-        profiler = self.profiler
-        if profiler is None:
-            correlator.detect(samples, triggers[:k])
-            self.energy.detect(samples, triggers[k:])
-        else:
-            with profiler.profile("xcorr"):
-                correlator.detect(samples, triggers[:k])
-            with profiler.profile("energy"):
-                self.energy.detect(samples, triggers[k:])
+        correlator.detect(samples, triggers[:k])
+        self.energy.detect(samples, triggers[k:])
         edges = edge_mask(triggers, carry,
                           out=self._edge_scratch.view(rows * n)
                           .reshape(rows, n))

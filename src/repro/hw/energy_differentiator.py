@@ -75,21 +75,6 @@ class EnergyDifferentiator:
         self._csum_scratch = ScratchBuffer(np.float64)
         self._delay_scratch = ScratchBuffer(np.float64)
         self._scaled_scratch = ScratchBuffer(np.float64)
-        self._metric_chunks = None
-        self._metric_samples = None
-
-    def attach_metrics(self, registry) -> None:
-        """Fold per-chunk throughput counters into a metrics registry.
-
-        Exposes ``kernels.energy.chunks`` / ``kernels.energy.samples``.
-        Pass ``None`` to detach.
-        """
-        if registry is None:
-            self._metric_chunks = None
-            self._metric_samples = None
-            return
-        self._metric_chunks = registry.counter("kernels.energy.chunks")
-        self._metric_samples = registry.counter("kernels.energy.samples")
 
     @staticmethod
     def _check_threshold(value_db: float) -> float:  # repro-lint: disable=RJ003 (host-side dB validation, not datapath)
@@ -158,9 +143,6 @@ class EnergyDifferentiator:
             for begin in range(0, n, piece):
                 self._exact_sums(samples[begin:begin + piece],
                                  out[begin:begin + piece])
-        if self._metric_chunks is not None:
-            self._metric_chunks.inc()
-            self._metric_samples.inc(n)
         return out
 
     def _exact_sums(self, samples: np.ndarray, out: np.ndarray) -> None:

@@ -25,7 +25,6 @@ from repro.hw.watchdog import Watchdog
 
 if TYPE_CHECKING:  # repro.faults imports repro.hw; avoid the cycle.
     from repro.faults.stream import StreamFaultInjector
-    from repro.telemetry.profiler import HostProfiler
 
 #: SBX tuning range (Hz).  The paper quotes 400 MHz - 4 GHz; the board
 #: datasheet extends to 4.4 GHz.
@@ -108,8 +107,6 @@ class UsrpN210:
         # Samples of the current chunk the fault stage has already
         # consumed; nonzero only while a later stage may reject it.
         self._faults_consumed = 0
-        #: Telemetry probe: host profiling scopes around DDC/DUC.
-        self.profiler: "HostProfiler | None" = None
 
     def timestamp_of(self, sample_index: int) -> "VitaTimestamp":
         """Absolute VITA time of an event's sample index (Fig. 1)."""
@@ -141,18 +138,9 @@ class UsrpN210:
             self._faults_consumed = rx_chunk.size
         # The DDC already quantizes its output to IQ16, so the core is
         # told not to re-quantize (no second pass over the chunk).
-        if self.profiler is None:
-            baseband = self.ddc.process(rx_chunk)
-            output = self.core.process(baseband, quantized=True,
-                                       tx_out=tx_out)
-            tx = self.duc.process(output.tx)
-        else:
-            with self.profiler.profile("ddc"):
-                baseband = self.ddc.process(rx_chunk)
-            output = self.core.process(baseband, quantized=True,
-                                       tx_out=tx_out)
-            with self.profiler.profile("duc"):
-                tx = self.duc.process(output.tx)
+        baseband = self.ddc.process(rx_chunk)
+        output = self.core.process(baseband, quantized=True, tx_out=tx_out)
+        tx = self.duc.process(output.tx)
         if tx_out is not None and tx is not tx_out:
             # Unity gain hands the buffer back; any other gain scaled
             # a copy, which lands in the caller's buffer.

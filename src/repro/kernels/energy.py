@@ -129,7 +129,7 @@ def energy_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
                         ) -> EnergyBatchResult:
     """Run a batch of chained sample rows through the energy detector.
 
-    Same contract as :func:`repro.kernels.xcorr.xcorr_detect_batch`:
+    Same contract as :func:`repro.kernels.xcorr_detect_batch`:
     ``blocks`` is ``(batch, width)`` complex with per-row valid
     ``lengths``, rows are chained through the stitched tails, and the
     result is byte-identical to the streaming facade fed row by row.

@@ -14,8 +14,10 @@ data path instead of asserting them from constants:
   is the default everywhere.
 * :mod:`repro.telemetry.metrics` — counters, gauges, and fixed-bucket
   histograms behind a :class:`MetricsRegistry`.
-* :mod:`repro.telemetry.profiler` — scoped host wall-time timers for
-  the hot numpy paths (correlator, energy differentiator, DDC/DUC).
+* :mod:`repro.telemetry.session` — the :class:`Telemetry` bundle, whose
+  ``attach`` wires the probe points and times the data-path stages
+  (DDC, correlators, energy differentiator, DUC) as host spans and
+  ``host.<stage>_ns`` histograms.
 * :mod:`repro.telemetry.exporters` — JSONL, Chrome trace-event format
   (loadable in Perfetto / chrome://tracing), and a text summary.
 * :mod:`repro.telemetry.budget` — the Fig. 5 checker: measured trace
@@ -38,7 +40,6 @@ from repro.telemetry.exporters import (
     write_jsonl,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.profiler import HostProfiler
 from repro.telemetry.session import Telemetry
 from repro.telemetry.timebase import Stamp, Timebase
 from repro.telemetry.tracer import (
@@ -78,7 +79,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "HostProfiler",
     "Telemetry",
     "Stamp",
     "Timebase",

@@ -7,7 +7,8 @@ Three consumers, three formats:
 * **Chrome trace-event JSON** — loadable in Perfetto or
   ``chrome://tracing``; sample-domain events render on their own
   tracks with microsecond timestamps derived from the sample clock,
-  host-profiled spans on a separate "host" track;
+  host-timed stage spans on a separate "host" track, shifted so the
+  earliest starts at 0 (JSONL keeps their raw host-clock ns);
 * **text summary** — the console's ``stats`` view.
 
 The trace-event format reference: instant events use phase ``"i"``,
@@ -86,9 +87,18 @@ def _tids(events: Sequence[InstantEvent | SpanEvent]) -> dict[str, int]:
     return {category: index + 1 for index, category in enumerate(categories)}
 
 
+def _start_ns(event: InstantEvent | SpanEvent) -> float:
+    return event.ns if isinstance(event, InstantEvent) else event.start_ns
+
+
 def chrome_trace_events(events: Sequence[InstantEvent | SpanEvent]) -> list[dict]:
     """The events in Chrome trace-event form (``traceEvents`` list)."""
     tids = _tids(events)
+    # Host events carry the host clock's raw ns, whose epoch is
+    # arbitrary (hours away from sample 0): rebased to the earliest of
+    # them, they share the axis the sample-domain events start at 0 on.
+    host_origin = min((_start_ns(event) for event in events if event.host),
+                      default=0.0)
     out: list[dict] = [
         {"ph": "M", "pid": _TRACE_PID, "tid": tid, "name": "thread_name",
          "args": {"name": category}}
@@ -96,13 +106,15 @@ def chrome_trace_events(events: Sequence[InstantEvent | SpanEvent]) -> list[dict
     ]
     for event in events:
         args = {key: _jsonable(value) for key, value in event.args.items()}
+        ts = (_start_ns(event) - (host_origin if event.host else 0.0)) \
+            / _NS_PER_US
         if isinstance(event, InstantEvent):
             args.setdefault("sample", event.sample)
             out.append({
                 "ph": "i", "s": "t",
                 "name": event.name, "cat": event.category,
                 "pid": _TRACE_PID, "tid": tids[event.category],
-                "ts": event.ns / _NS_PER_US,
+                "ts": ts,
                 "args": args,
             })
         else:
@@ -113,7 +125,7 @@ def chrome_trace_events(events: Sequence[InstantEvent | SpanEvent]) -> list[dict
                 "ph": "X",
                 "name": event.name, "cat": event.category,
                 "pid": _TRACE_PID, "tid": tids[event.category],
-                "ts": event.start_ns / _NS_PER_US,
+                "ts": ts,
                 "dur": event.duration_ns / _NS_PER_US,
                 "args": args,
             })

@@ -1,8 +1,10 @@
 """The Telemetry bundle: one object carrying a whole session's plumbing.
 
-A :class:`Telemetry` instance groups the timebase, the tracer, the
-metrics registry, and the host profiler, and knows how to attach them
-to a device/driver pair at the natural probe points.  This is what
+A :class:`Telemetry` instance groups the timebase, the tracer and the
+metrics registry, and knows how to attach them to a device/driver
+pair at the natural probe points.  Attaching is also the one place
+that times the data-path stages on the host: each stage call becomes
+a host span and a ``host.<stage>_ns`` observation.  This is what
 user code passes to :class:`repro.core.jammer.ReactiveJammer` (or the
 console) to opt in:
 
@@ -12,16 +14,19 @@ console) to opt in:
     >>> telemetry.write_chrome_trace("run.trace.json")
     >>> print(telemetry.summary())
 
-``Telemetry(enabled=False)`` builds the disabled bundle — null tracer,
-no profiler — whose probe-point cost is a truthiness check per chunk;
-the benchmark suite guards that this stays within noise of running
-with no telemetry at all.
+``Telemetry(enabled=False)`` builds the disabled bundle: the null
+tracer and no stage timers, so its probe-point cost is a truthiness
+check per chunk; the benchmark suite guards that this stays within
+noise of running with no telemetry at all.
 """
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.telemetry.exporters import (
     text_summary,
@@ -29,9 +34,9 @@ from repro.telemetry.exporters import (
     write_jsonl,
 )
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiler import HostProfiler
 from repro.telemetry.timebase import Timebase
 from repro.telemetry.tracer import (
+    CAT_HOST,
     DEFAULT_CAPACITY,
     NULL_TRACER,
     InstantEvent,
@@ -47,7 +52,7 @@ if TYPE_CHECKING:  # avoid the import cycle telemetry -> hw -> telemetry
 
 
 class Telemetry:
-    """Tracer + metrics + profiler + timebase as one opt-in bundle."""
+    """Tracer + metrics + timebase as one opt-in bundle."""
 
     def __init__(self, enabled: bool = True,
                  capacity: int = DEFAULT_CAPACITY,
@@ -56,8 +61,6 @@ class Telemetry:
         self.metrics = MetricsRegistry()
         self.tracer: Tracer = RingTracer(self.timebase, capacity) \
             if enabled else NULL_TRACER
-        self.profiler: HostProfiler | None = HostProfiler(
-            self.metrics, self.tracer, self.timebase) if enabled else None
 
     @classmethod
     def disabled(cls) -> "Telemetry":
@@ -77,24 +80,57 @@ class Telemetry:
         """Wire this bundle into a device (and optionally its driver).
 
         Probe points covered: the DSP core's detectors / FSM / jam
-        windows, the detector kernels' throughput counters
-        (``kernels.*``), the watchdog, the DDC/DUC host profiling
-        scopes, and — when a driver is given — its register-write path.
-        A disabled bundle detaches the counters, since nothing reads
-        its registry: the data path then does no per-chunk metrics work.
+        windows and ``detect.which_protocol.*`` counters, the watchdog,
+        the stage timers, and — when a driver is given — its
+        register-write path.
+
+        An enabled bundle times each data-path stage, named as the
+        end-to-end benchmark's stage table names it, by setting a
+        wrapper on the block instance: every call, one that raises
+        included, emits one ``CAT_HOST`` host span carrying a
+        ``samples`` arg and observes ``host.<stage>_ns``.  The wrapper
+        calls the class's method, so attaching again replaces it
+        rather than stacking a second timer.  A disabled bundle
+        removes the wrappers and detaches the counters, since nothing
+        reads its registry: the data path is then the plain one.
         """
-        device.core.tracer = self.tracer
-        device.core.profiler = self.profiler
-        device.profiler = self.profiler
-        registry = self.metrics if self.enabled else None
-        device.core.correlator.attach_metrics(registry)
-        device.core.banked.attach_metrics(registry)
-        device.core.attach_metrics(registry)
-        device.core.energy.attach_metrics(registry)
-        if device.core.watchdog is not None:
-            device.core.watchdog.tracer = self.tracer
+        core = device.core
+        core.tracer = self.tracer
+        core.attach_metrics(self.metrics if self.enabled else None)
+        for block, method, stage in (
+                (device.ddc, "process", "hw.ddc"),
+                (core.correlator, "detect", "hw.cross_correlator"),
+                (core.banked, "detect", "hw.banked_correlator"),
+                (core.energy, "detect", "hw.energy_differentiator"),
+                (device.duc, "process", "hw.duc")):
+            if self.enabled:
+                setattr(block, method, self._timed(block, method, stage))
+            else:
+                vars(block).pop(method, None)
+        if core.watchdog is not None:
+            core.watchdog.tracer = self.tracer
         if driver is not None:
             driver.tracer = self.tracer
+
+    def _timed(self, block: object, method: str, stage: str):
+        """``block.<method>`` from its class, timed as ``stage``."""
+        unbound = getattr(type(block), method)
+        clock = self.timebase.wall_clock_ns
+        histogram = self.metrics.histogram(f"host.{stage}_ns")
+        host_span = self.tracer.host_span
+
+        @functools.wraps(unbound)
+        def timed(samples, *args, **kwargs):
+            start_ns = clock()
+            try:
+                return unbound(block, samples, *args, **kwargs)
+            finally:
+                end_ns = clock()
+                histogram.observe(end_ns - start_ns)
+                host_span(stage, CAT_HOST, start_ns, end_ns,
+                          samples=int(np.size(samples)))
+
+        return timed
 
     # ------------------------------------------------------------------
     # Views and exports

@@ -5,14 +5,14 @@ Two event shapes cover every probe point in the framework:
 * :class:`InstantEvent` — something happened at one instant (a
   detector fired, a register write landed, the watchdog tripped);
 * :class:`SpanEvent` — something occupied an interval (a jam burst on
-  the sample timeline, a profiled host-side code region).
+  the sample timeline, one host-timed call of a data-path stage).
 
 Events carry time in **both** domains (see
 :mod:`repro.telemetry.timebase`): ``sample``/``start_sample`` index
 the deterministic sample clock (``-1`` for host-only events, which
 have no sample-domain meaning), and ``ns``/``start_ns`` give
 nanoseconds — sample-clock ns for data-path events, host wall-clock
-ns for profiled regions (``host`` is True for the latter).
+ns for host-timed stages (``host`` is True for the latter).
 
 The default tracer everywhere is :data:`NULL_TRACER`: disabled,
 allocation-free, and safe to call unconditionally.  Probe points on

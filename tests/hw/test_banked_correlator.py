@@ -31,6 +31,7 @@ from repro.hw.trigger import TriggerSource
 from repro.hw.uhd import UhdDriver
 from repro.hw.usrp import UsrpN210
 from repro.kernels import edge_mask
+from repro.telemetry import Telemetry
 from repro.telemetry.metrics import MetricsRegistry
 from tests.kernels.test_xcorr_kernels import _reference_metric
 
@@ -166,18 +167,20 @@ class TestFacadeStreaming:
         assert start in [d.time for d in core.process(samples).detections
                          if d.source is TriggerSource.XCORR]
 
-    def test_attach_metrics_counts_chunks_and_samples(self, rng):
-        registry = MetricsRegistry()
-        banked = CrossCorrelator()
-        banked.load_banks([_random_bank(rng)], [1000])
-        banked.attach_metrics(registry)
-        banked.detect(rng.normal(size=100) + 0j)
-        banked.metric(rng.normal(size=50) + 0j)
-        assert registry.counter("kernels.xcorr.chunks").value == 2
-        assert registry.counter("kernels.xcorr.samples").value == 150
-        banked.attach_metrics(None)
-        banked.detect(rng.normal(size=10) + 0j)
-        assert registry.counter("kernels.xcorr.chunks").value == 2
+    def test_stage_spans_count_chunks_and_samples(self, template_a):
+        device = UsrpN210()
+        UhdDriver(device).set_correlator_banks([template_a], [30_000])
+        telemetry = Telemetry()
+        telemetry.attach(device)
+        device.process(np.zeros(100, dtype=np.complex128))
+        device.process(np.zeros(50, dtype=np.complex128))
+        samples = {stage: [event.args["samples"]
+                           for event in telemetry.events()
+                           if event.name == stage]
+                   for stage in ("hw.banked_correlator",
+                                 "hw.cross_correlator")}
+        assert samples == {"hw.banked_correlator": [100, 50],
+                           "hw.cross_correlator": []}
 
 
 @pytest.fixture
@@ -379,7 +382,6 @@ class TestWhichProtocolTelemetry:
         device, _driver = banked_rig
         registry = MetricsRegistry()
         device.core.attach_metrics(registry)
-        device.core.banked.attach_metrics(registry)
         rx = awgn(4000, 1e-6, rng)
         rx[500:564] += template_a
         rx[2000:2064] += template_b
@@ -389,8 +391,6 @@ class TestWhichProtocolTelemetry:
             "detect.which_protocol.wifi").value == 1
         assert registry.counter(
             "detect.which_protocol.zigbee").value == 2
-        assert registry.counter(
-            "kernels.xcorr.chunks").value >= 1
 
 
 class TestConfigureAtomicity:

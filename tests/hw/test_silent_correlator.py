@@ -26,8 +26,9 @@ from repro.hw.cross_correlator import (
 from repro.hw.dsp_core import CustomDspCore
 from repro.hw.registers import pack_signed_fields
 from repro.hw.trigger import TriggerSource
+from repro.hw.usrp import UsrpN210
 from repro.kernels import edge_mask, metric_ceiling
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry import Telemetry
 
 _TEMPLATE = np.exp(1j * np.random.default_rng(7).uniform(0, 2 * np.pi, 64))
 _COEFFS = quantize_coefficients(_TEMPLATE)
@@ -82,14 +83,16 @@ class TestSilentRule:
         assert correlator.metric(samples).max() == \
             metric_ceiling(coeffs_i, coeffs_q)
 
-    def test_silent_chunks_still_count(self):
-        registry = MetricsRegistry()
-        correlator = CrossCorrelator()
-        correlator.attach_metrics(registry)
+    def test_silent_chunks_are_stage_spans(self):
+        telemetry = Telemetry()
+        device = UsrpN210()
+        telemetry.attach(device)
+        correlator = device.core.correlator
+        assert correlator.silent
         correlator.detect(np.ones(100, dtype=np.complex128))
         correlator.detect(np.ones(7, dtype=np.complex128))
-        assert registry.counter("kernels.xcorr.chunks").value == 2
-        assert registry.counter("kernels.xcorr.samples").value == 107
+        assert [event.args["samples"] for event in telemetry.events()
+                if event.name == "hw.cross_correlator"] == [100, 7]
 
     def test_silent_detect_calls_no_kernel(self, monkeypatch):
         import repro.hw.cross_correlator as module

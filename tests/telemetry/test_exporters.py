@@ -15,9 +15,13 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import (
     CAT_DETECTOR,
     CAT_HOST,
+    CAT_RUN,
     CAT_TX,
     RingTracer,
 )
+
+#: A raw ``perf_counter_ns`` reading: about 14.6 h after its epoch.
+HOST_EPOCH_NS = 52_500_000_000_000
 
 
 def _sample_tracer() -> RingTracer:
@@ -60,6 +64,23 @@ class TestChromeTrace:
         span = next(e for e in trace if e["ph"] == "X" and e["name"] == "jam")
         assert span["dur"] == 100.0  # 2500 samples -> 100 us
         assert span["args"]["start_sample"] == 2565
+
+    def test_host_spans_rebase_to_the_earliest_host_span(self):
+        tracer = RingTracer()
+        tracer.span("run.chunk", CAT_RUN, 0, 8192)
+        tracer.host_span("hw.ddc", CAT_HOST, HOST_EPOCH_NS + 3_000,
+                         HOST_EPOCH_NS + 5_000)
+        tracer.host_span("hw.duc", CAT_HOST, HOST_EPOCH_NS + 1_000,
+                         HOST_EPOCH_NS + 1_500)
+        trace = chrome_trace_events(tracer.events())
+        spans = {e["name"]: (e["ts"], e["dur"]) for e in trace
+                 if e["ph"] == "X"}
+        assert spans == {"run.chunk": (0.0, 327.68),
+                         "hw.ddc": (2.0, 2.0), "hw.duc": (0.0, 0.5)}
+        # JSONL keeps the host clock's raw nanoseconds.
+        records = [json.loads(line) for line
+                   in events_to_jsonl(tracer.events()).splitlines()]
+        assert records[1]["start_ns"] == HOST_EPOCH_NS + 3_000
 
     def test_categories_map_to_stable_tids(self):
         trace = chrome_trace_events(_sample_tracer().events())

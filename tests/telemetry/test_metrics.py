@@ -10,9 +10,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.profiler import HostProfiler
-from repro.telemetry.timebase import Timebase
-from repro.telemetry.tracer import RingTracer
 
 
 class TestCounter:
@@ -97,38 +94,3 @@ class TestRegistry:
         text = metrics.summary()
         for name in ("runs", "duty", "lat"):
             assert name in text
-
-
-class TestHostProfiler:
-    def test_profile_scope_records_duration(self):
-        ticks = iter([1_000, 1_640])
-        timebase = Timebase(wall_clock_ns=lambda: next(ticks))
-        metrics = MetricsRegistry()
-        profiler = HostProfiler(metrics, timebase=timebase)
-        with profiler.profile("xcorr"):
-            pass
-        hist = metrics.histogram("host.xcorr_ns")
-        assert hist.count == 1
-        assert hist.total == pytest.approx(640.0)
-
-    def test_profile_emits_host_span_when_traced(self):
-        ticks = iter([10, 25])
-        timebase = Timebase(wall_clock_ns=lambda: next(ticks))
-        tracer = RingTracer(timebase)
-        profiler = HostProfiler(MetricsRegistry(), tracer, timebase)
-        with profiler.profile("energy"):
-            pass
-        (event,) = tracer.events()
-        assert event.name == "energy"
-        assert event.host
-        assert event.duration_ns == pytest.approx(15.0)
-
-    def test_profile_records_on_exception(self):
-        ticks = iter([0, 100])
-        timebase = Timebase(wall_clock_ns=lambda: next(ticks))
-        metrics = MetricsRegistry()
-        profiler = HostProfiler(metrics, timebase=timebase)
-        with pytest.raises(RuntimeError):
-            with profiler.profile("boom"):
-                raise RuntimeError("slow and broken")
-        assert metrics.histogram("host.boom_ns").count == 1

@@ -21,7 +21,9 @@ from repro.core.detection import DetectionConfig
 from repro.core.events import JammingEventBuilder
 from repro.core.jammer import ReactiveJammer
 from repro.core.presets import reactive_jammer
-from repro.telemetry import Telemetry
+from repro.errors import StreamError
+from repro.hw.usrp import UsrpN210
+from repro.telemetry import Telemetry, Timebase
 from repro.telemetry.tracer import (
     CAT_DETECTOR,
     CAT_FSM,
@@ -30,6 +32,10 @@ from repro.telemetry.tracer import (
     CAT_TX,
     NULL_TRACER,
 )
+
+#: The timed stages a legacy-correlator (K = 0) chunk passes through.
+LEGACY_STAGES = ("hw.ddc", "hw.cross_correlator",
+                 "hw.energy_differentiator", "hw.duc")
 
 #: Injected WiFi frame starts: 100 us + k * 500 us at 25 MSPS.
 FRAME_STARTS = [2500, 15000, 27500]
@@ -62,6 +68,28 @@ def _configured_jammer(telemetry: Telemetry | None) -> ReactiveJammer:
     return jammer
 
 
+def _stage_blocks(device: UsrpN210) -> list[object]:
+    core = device.core
+    return [device.ddc, core.correlator, core.banked, core.energy,
+            device.duc]
+
+
+def _wrapped(device: UsrpN210) -> list[str]:
+    """Stage methods set on the block instances, not their classes."""
+    return [name for block in _stage_blocks(device)
+            for name in ("process", "detect") if name in vars(block)]
+
+
+#: What ``_wrapped`` reads with an enabled bundle attached: the DDC,
+#: both correlators, the energy differentiator and the DUC.
+ALL_WRAPPED = ["process", "detect", "detect", "detect", "process"]
+
+
+def _host_spans(telemetry: Telemetry, stage: str) -> list:
+    return [event for event in telemetry.events()
+            if event.category == CAT_HOST and event.name == stage]
+
+
 class TestAttach:
     def test_attach_reaches_every_probe_point(self):
         telemetry = Telemetry()
@@ -70,8 +98,7 @@ class TestAttach:
         assert jammer.device.core.fsm.tracer is telemetry.tracer
         assert jammer.device.core.watchdog is None \
             or jammer.device.core.watchdog.tracer is telemetry.tracer
-        assert jammer.device.core.profiler is telemetry.profiler
-        assert jammer.device.profiler is telemetry.profiler
+        assert _wrapped(jammer.device) == ALL_WRAPPED
         assert jammer.driver.tracer is telemetry.tracer
 
     def test_fsm_rebuild_keeps_the_tracer(self):
@@ -85,20 +112,73 @@ class TestAttach:
         jammer = ReactiveJammer(telemetry=telemetry)
         core = jammer.device.core
         assert core.tracer is NULL_TRACER
-        assert core.profiler is None
-        assert jammer.device.profiler is None
-        # No kernels.* or detect.which_protocol.* counter is wired.
-        for block in (core.correlator, core.banked, core.energy):
-            assert block._metric_chunks is None
-            assert block._metric_samples is None
+        # No stage timer and no detect.which_protocol.* counter is wired.
+        assert _wrapped(jammer.device) == []
         assert core._protocol_registry is None
-        assert telemetry.metrics.snapshot()["counters"] == {}
+        assert telemetry.metrics.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {}}
 
     def test_no_telemetry_means_null_defaults(self):
         jammer = ReactiveJammer()
         assert jammer.telemetry is None
         assert jammer.device.core.tracer is NULL_TRACER
-        assert jammer.device.profiler is None
+        assert _wrapped(jammer.device) == []
+
+
+class TestStageProbe:
+    def test_injected_clock_total_lands_in_the_histogram(self):
+        ticks = iter([1_000, 1_640, 5_000, 5_100])
+        telemetry = Telemetry(
+            timebase=Timebase(wall_clock_ns=lambda: next(ticks)))
+        device = UsrpN210()
+        telemetry.attach(device)
+        device.ddc.process(np.zeros(16, dtype=np.complex128))
+        device.ddc.process(np.zeros(16, dtype=np.complex128))
+        histogram = telemetry.metrics.histogram("host.hw.ddc_ns")
+        assert histogram.count == 2
+        assert histogram.total == 740.0
+
+    def test_span_carries_samples(self):
+        telemetry = Telemetry()
+        device = UsrpN210()
+        telemetry.attach(device)
+        device.ddc.process(np.zeros(37, dtype=np.complex128))
+        (span,) = telemetry.events()
+        assert (span.name, span.category, span.host) \
+            == ("hw.ddc", CAT_HOST, True)
+        assert span.args == {"samples": 37}
+        assert span.duration_ns >= 0
+
+    def test_raising_call_is_still_observed(self):
+        telemetry = Telemetry()
+        device = UsrpN210()
+        telemetry.attach(device)
+        chunk = np.zeros(8, dtype=np.complex128)
+        chunk[3] = np.nan
+        with pytest.raises(StreamError):
+            device.ddc.process(chunk)
+        assert telemetry.metrics.histogram("host.hw.ddc_ns").count == 1
+        (span,) = _host_spans(telemetry, "hw.ddc")
+        assert span.args == {"samples": 8}
+
+    def test_attaching_again_replaces_the_timers(self):
+        first, second = Telemetry(), Telemetry()
+        device = UsrpN210()
+        first.attach(device)
+        second.attach(device)
+        device.process(np.zeros(64, dtype=np.complex128))
+        assert first.events() == []
+        for stage in LEGACY_STAGES:
+            assert first.metrics.histogram(f"host.{stage}_ns").count == 0
+            assert second.metrics.histogram(f"host.{stage}_ns").count == 1
+            assert len(_host_spans(second, stage)) == 1
+
+    def test_disabled_bundle_removes_the_timers(self):
+        device = UsrpN210()
+        Telemetry().attach(device)
+        assert _wrapped(device) == ALL_WRAPPED
+        Telemetry.disabled().attach(device)
+        assert _wrapped(device) == []
 
 
 class TestFig5Integration:
@@ -150,7 +230,19 @@ class TestFig5Integration:
         histograms = report.health.metrics["histograms"]
         assert histograms["latency.response_ns"]["count"] \
             == len(report.jams)
-        assert histograms["host.xcorr_ns"]["count"] > 0
+        for stage in LEGACY_STAGES:
+            assert histograms[f"host.{stage}_ns"]["count"] \
+                == counters["run.chunks"]
+
+    def test_stage_spans_cover_every_chunk(self, traced_run):
+        telemetry, report = traced_run
+        chunks = report.health.metrics["counters"]["run.chunks"]
+        samples = report.health.metrics["counters"]["run.samples"]
+        for stage in LEGACY_STAGES:
+            spans = _host_spans(telemetry, stage)
+            assert len(spans) == chunks
+            assert sum(span.args["samples"] for span in spans) == samples
+        assert _host_spans(telemetry, "hw.banked_correlator") == []
 
     def test_summary_is_printable(self, traced_run):
         telemetry, _report = traced_run
