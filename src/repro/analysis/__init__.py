@@ -44,6 +44,10 @@ RJ011     whole-program: no ambient RNG (unseeded ``default_rng``,
 RJ012     whole-program: telemetry spans enter their scope (no
           discarded context managers) and probe points stay on the
           ``NULL_TRACER``-safe base Tracer interface
+RJ014     ``while True`` retry loops in ``runtime/``, ``faults/`` and
+          ``hw/`` carry a visible attempt bound, cap or deadline
+RJ015     every imported name is read in its module (``__all__``
+          counts; ``__init__.py`` re-exports are exempt)
 ========  ==========================================================
 
 The analyzer itself is pure stdlib (``ast`` + ``tokenize``); its only

@@ -15,6 +15,7 @@ from repro.analysis.rules.dsp_primitives import DspPrimitiveRule
 from repro.analysis.rules.dtypeflow import DtypeFlowRule
 from repro.analysis.rules.faults import BusConstructionRule
 from repro.analysis.rules.hygiene import HygieneRule
+from repro.analysis.rules.imports import UnusedImportRule
 from repro.analysis.rules.magic_numbers import MagicNumberRule
 from repro.analysis.rules.pools import PoolConstructionRule
 from repro.analysis.rules.registers import RegisterAddressRule, RegisterWidthRule
@@ -36,6 +37,7 @@ ALL_RULES: tuple[Rule, ...] = (
     DeterminismRule(),
     SpanPairingRule(),
     UnboundedRetryRule(),
+    UnusedImportRule(),
 )
 
 _BY_CODE = {rule.code: rule for rule in ALL_RULES}

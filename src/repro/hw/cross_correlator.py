@@ -29,8 +29,10 @@ rows of the DSP core's stacked trigger plane; rising edges and their
 carries belong to the core.  The core keeps two instances: the paper's
 legacy registers program a one-bank correlator, the bank registers a
 K-bank one.  A correlator none of whose banks can fire
-(:attr:`silent`, the power-on state) skips the kernel and only signs
-the tail of each chunk its sign history keeps.
+(:attr:`silent`, the power-on state) skips the kernel and only copies
+the tail of each chunk its sign history keeps; the copied samples are
+signed when the history is next read (a live chunk, :meth:`metric`,
+:attr:`CrossCorrelator.history`), and :meth:`reset` drops them.
 """
 
 from __future__ import annotations
@@ -140,6 +142,10 @@ class CrossCorrelator:
         # [history | chunk] plane across calls without reallocating.
         self._history = np.zeros(2 * (CORRELATOR_LENGTH - 1),
                                  dtype=np.int8)
+        # Silent chunks' samples not yet signed into the history: the
+        # last `_pending` samples of the stream, right-aligned here.
+        self._tail = np.zeros(CORRELATOR_LENGTH - 1, dtype=np.complex128)
+        self._pending = 0
         self._plane_scratch = ScratchBuffer(np.int8)
         if coeffs_i is None and coeffs_q is None:
             coeffs_i = coeffs_q = np.zeros(CORRELATOR_LENGTH,
@@ -190,11 +196,21 @@ class CrossCorrelator:
         A bank's trigger needs ``metric > threshold`` and no metric
         exceeds :func:`repro.kernels.metric_ceiling`, so a silent
         correlator's triggers are all False whatever it receives.
-        :meth:`detect` skips the GEMM for it and signs only the chunk
-        tail its history keeps; the hardware runs the datapath
-        regardless, with the same (empty) output.
+        :meth:`detect` skips the GEMM for it and keeps only the chunk
+        tail its history needs, signed when the history is next read;
+        the hardware runs the datapath regardless, with the same
+        (empty) output.
         """
         return self._silent
+
+    @property
+    def history(self) -> np.ndarray:
+        """The interleaved sign history of the last 63 samples (copy).
+
+        Pending samples of silent chunks are signed into it first.
+        """
+        self._settle()
+        return self._history.copy()
 
     def bank_coefficients(self, index: int
                           ) -> tuple[np.ndarray, np.ndarray]:
@@ -290,6 +306,7 @@ class CrossCorrelator:
     def reset(self) -> None:
         """Clear the sign history (hardware reset)."""
         self._history[:] = 0
+        self._pending = 0
 
     @staticmethod
     def _checked(samples: np.ndarray) -> np.ndarray:
@@ -300,6 +317,7 @@ class CrossCorrelator:
 
     def _assemble_plane(self, samples: np.ndarray) -> np.ndarray:
         """[history | chunk] interleaved sign plane in scratch storage."""
+        self._settle()
         history = self._history.size
         plane = self._plane_scratch.view(history + 2 * samples.size)
         plane[:history] = self._history
@@ -309,21 +327,33 @@ class CrossCorrelator:
         self._history[:] = plane[2 * samples.size:]
         return plane
 
-    def _advance_history(self, samples: np.ndarray) -> None:
-        """Shift the chunk into the sign history without a full plane.
+    def _defer(self, samples: np.ndarray) -> None:
+        """Keep a silent chunk's surviving tail for a later :meth:`_settle`.
 
-        Only the last 63 samples survive in the history, so only they
-        are signed, straight into it; a shorter chunk shifts the kept
-        part of the old history forward first.
+        Only the last 63 samples of the stream reach the history, so a
+        chunk at least that long replaces the pending tail; a shorter
+        one shifts the kept part forward first.
         """
         n = samples.size
-        history = self._history
-        pairs = history.size // 2
-        if n >= pairs:
-            sign_plane(samples[n - pairs:], out=history)
+        tail = self._tail
+        if n >= tail.size:
+            tail[:] = samples[n - tail.size:]
+            self._pending = tail.size
         else:
-            history[:-2 * n] = history[2 * n:]
-            sign_plane(samples, out=history[-2 * n:])
+            tail[:-n] = tail[n:]
+            tail[-n:] = samples
+            self._pending = min(self._pending + n, tail.size)
+
+    def _settle(self) -> None:
+        """Sign the pending samples into the history, shifting it first."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = 0
+        history = self._history
+        if pending < self._tail.size:
+            history[:-2 * pending] = history[2 * pending:]
+        sign_plane(self._tail[-pending:], out=history[-2 * pending:])
 
     def metric(self, samples: np.ndarray) -> np.ndarray:
         """Per-bank squared correlation metric, ``(K, n)``.
@@ -345,8 +375,8 @@ class CrossCorrelator:
         Consumes the chunk.  The trigger rows are written into ``out``
         when given — the DSP core passes the correlator rows of its
         stacked trigger plane — and returned.  A :attr:`silent`
-        correlator calls no kernel: it advances its sign history and
-        writes all-False rows.
+        correlator calls no kernel: it keeps the chunk tail its sign
+        history needs and writes all-False rows.
         """
         samples = self._checked(samples)
         if out is None:
@@ -354,7 +384,7 @@ class CrossCorrelator:
         if samples.size == 0:
             return out
         if self._silent:
-            self._advance_history(samples)
+            self._defer(samples)
             out.fill(False)
             return out
         return xcorr_detect(self._assemble_plane(samples), self._prepared,

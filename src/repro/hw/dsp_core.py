@@ -12,7 +12,7 @@ stamped with absolute sample indices.  Internally each chunk takes one
 detection step: the correlator's ``K`` trigger rows and the energy
 differentiator's two are written into one ``(K + 2, n)`` boolean
 plane, its rising edges are taken once against one carry, and the
-chunk's events come from one ``flatnonzero`` over them.  The FSM and
+chunk's events come from one ``nonzero`` over them.  The FSM and
 transmit controller, whose state changes only at events, walk the
 events.  Tests validate this fast path against a sample-by-sample
 reference implementation.
@@ -547,13 +547,12 @@ class CustomDspCore:
 
         new_intervals: list[JamInterval] = []
         if self._tx_allowed and jam_times:
-            new_intervals = self._schedule_with_capture(
-                jam_times, samples, chunk_start
-            )
+            # Replay snapshots take the chunk up to their trigger; the
+            # capture sees the whole chunk once, after scheduling.
+            new_intervals = self.tx.schedule(jam_times, samples, chunk_start)
             if self.watchdog is not None:
                 new_intervals = self._admit_intervals(new_intervals)
-        else:
-            self.tx.observe_rx(samples)
+        self.tx.observe_rx(samples)
         self.jam_count += len(new_intervals)
         self._active_intervals.extend(new_intervals)
 
@@ -599,7 +598,7 @@ class CustomDspCore:
         time, then source, then bank, so coincident multi-protocol hits
         come out in bank order.
         """
-        hits = np.flatnonzero(edges)
+        (hits,) = edges.ravel().nonzero()
         if not hits.size:
             # The common chunk: no edges, no objects built at all.
             return []
@@ -608,8 +607,10 @@ class CustomDspCore:
         labels = tuple(protocols) + (None, None)
         counts = self.detection_counts
         events = []
-        for time, row in sorted((flat % n, flat // n)
-                                for flat in hits.tolist()):
+        order = [(flat % n, flat // n) for flat in hits.tolist()]
+        if len(order) > 1:
+            order.sort()
+        for time, row in order:
             source = sources[row]
             counts[source] += 1
             events.append(DetectionEvent(time=chunk_start + time,
@@ -648,28 +649,6 @@ class CustomDspCore:
             else:
                 self.tx.cancel_interval(interval)
         return admitted
-
-    def _schedule_with_capture(self, jam_times: list[int],
-                               quantized: np.ndarray,
-                               chunk_start: int) -> list[JamInterval]:
-        """Schedule bursts, feeding RX history up to each trigger first.
-
-        Replay captures must contain only samples received *before*
-        their trigger, so the chunk is fed to the capture buffer in
-        segments split at the trigger times.
-        """
-        intervals: list[JamInterval] = []
-        fed = 0
-        for trigger in jam_times:
-            local = trigger - chunk_start
-            upto = min(max(local + 1, 0), quantized.size)
-            if upto > fed:
-                self.tx.observe_rx(quantized[fed:upto])
-                fed = upto
-            intervals.extend(self.tx.schedule([trigger]))
-        if fed < quantized.size:
-            self.tx.observe_rx(quantized[fed:])
-        return intervals
 
     def _continuous_burst(self, end: int) -> JamInterval:
         """The always-on WGN burst, from when the flag was set to ``end``."""

@@ -68,13 +68,10 @@ class EnergyDifferentiator:
         # the last `delay` sums (for the comparison delay line).
         self._energy_tail = np.zeros(window, dtype=np.float64)
         self._sum_tail = np.zeros(delay, dtype=np.float64)
-        # Reusable buffers: the [tail | chunk] energies, their running
-        # sums, the [tail | sums] delay line and the scaled operand of
-        # each compare live in scratch storage, not fresh arrays.
-        self._pad_scratch = ScratchBuffer(np.float64)
-        self._csum_scratch = ScratchBuffer(np.float64)
-        self._delay_scratch = ScratchBuffer(np.float64)
-        self._scaled_scratch = ScratchBuffer(np.float64)
+        # One reusable buffer holds a call's [tail | sums] delay line
+        # and the work space behind it: the [tail | energies] plane,
+        # cumulated in place, then the Q*Q term of the energies.
+        self._scratch = ScratchBuffer(np.float64)
 
     @staticmethod
     def _check_threshold(value_db: float) -> float:  # repro-lint: disable=RJ003 (host-side dB validation, not datapath)
@@ -127,48 +124,50 @@ class EnergyDifferentiator:
             raise StreamError("EnergyDifferentiator expects a 1-D chunk")
         return samples
 
-    def _moving_sums(self, samples: np.ndarray,
-                     out: np.ndarray) -> np.ndarray:
+    def _work(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``[sum_tail | sums]`` delay line and the sums' work space.
+
+        The work space holds one piece's ``[tail | energies]`` plane
+        and its ``Q*Q`` term, where a piece is at most the
+        ``EXACT_SUM_LENGTH - window`` samples one exact cumulative sum
+        holds, and then the chunk's scaled compare operand.
+        """
+        delay = self._delay
+        piece = min(n, EXACT_SUM_LENGTH - self._window)
+        scratch = self._scratch.view(2 * n + delay + self._window + piece)
+        return scratch[:delay + n], scratch[delay + n:]
+
+    def _moving_sums(self, samples: np.ndarray, out: np.ndarray,
+                     work: np.ndarray) -> np.ndarray:
         """Advance the moving sum over a non-empty chunk into ``out``.
 
         A chunk longer than one exact cumulative sum holds (``window +
         n`` over :data:`EXACT_SUM_LENGTH`) runs in pieces that each
-        stay within it.
+        stay within it.  Each piece's energies are written straight
+        into the ``[tail | piece]`` plane in ``work`` and summed in
+        place by the kernels the batch form shares.
         """
-        piece = EXACT_SUM_LENGTH - self._window
-        n = samples.size
-        if n <= piece:
-            self._exact_sums(samples, out)
-        else:
-            for begin in range(0, n, piece):
-                self._exact_sums(samples[begin:begin + piece],
-                                 out[begin:begin + piece])
-        return out
-
-    def _exact_sums(self, samples: np.ndarray, out: np.ndarray) -> None:
-        """Moving sums of at most ``EXACT_SUM_LENGTH - window`` samples.
-
-        The energies are written straight into the ``[tail | chunk]``
-        scratch and summed by the kernels the batch form shares.
-        """
-        n = samples.size
         window = self._window
-        padded = self._pad_scratch.view(window + n)
-        padded[:window] = self._energy_tail
-        csum = self._csum_scratch.view(window + n)
-        # The Q*Q term parks in the cumsum scratch the sums overwrite.
-        energies(samples, padded[window:], scratch=csum[window:])
-        moving_sums(padded, window, out, csum)
-        # New tail = last `window` entries of [tail | energy]; the
-        # scratch is distinct storage, so this holds for any chunk size.
-        self._energy_tail[:] = padded[n:]
+        piece = EXACT_SUM_LENGTH - window
+        for begin in range(0, samples.size, piece):
+            chunk = samples[begin:begin + piece]
+            n = chunk.size
+            padded = work[:window + n]
+            padded[:window] = self._energy_tail
+            energies(chunk, padded[window:], work[window + n:window + 2 * n])
+            # New tail = last `window` entries of [tail | energy], taken
+            # before the cumulative sum overwrites the plane.
+            self._energy_tail[:] = padded[n:]
+            moving_sums(padded, window, out[begin:begin + n], csum=padded)
+        return out
 
     def energy_sums(self, samples: np.ndarray) -> np.ndarray:
         """The moving energy sum per incoming sample (consumes input)."""
         samples = self._checked(samples)
-        if samples.size == 0:
+        n = samples.size
+        if n == 0:
             return np.zeros(0, dtype=np.float64)
-        return self._moving_sums(samples, np.empty(samples.size))
+        return self._moving_sums(samples, np.empty(n), self._work(n)[1])
 
     def detect(self, samples: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
@@ -188,11 +187,11 @@ class EnergyDifferentiator:
         # The sums land in the delay line right behind its carried
         # tail, so [sum_tail | sums] is assembled without a copy.
         delay = self._delay
-        delay_line = self._delay_scratch.view(delay + n)
+        delay_line, work = self._work(n)
         delay_line[:delay] = self._sum_tail
-        sums = self._moving_sums(samples, delay_line[delay:])
+        sums = self._moving_sums(samples, delay_line[delay:], work)
         delayed = delay_line[:n]
-        scaled = self._scaled_scratch.view(n)
+        scaled = work[:n]  # the spent plane holds each scaled operand
         np.multiply(delayed, self._threshold_high, out=scaled)
         np.greater(sums, scaled, out=out[0])
         np.multiply(sums, self._threshold_low, out=scaled)

@@ -197,12 +197,20 @@ class TransmitController:
     # ------------------------------------------------------------------
     # Scheduling
 
-    def schedule(self, trigger_times: list[int]) -> list[JamInterval]:
+    def schedule(self, trigger_times: list[int],
+                 rx_chunk: np.ndarray | None = None,
+                 chunk_start: int = 0) -> list[JamInterval]:
         """Turn FSM jam triggers into transmit intervals.
 
         Triggers that arrive while a previous burst (including its
         delay period) is still pending are ignored, as the hardware's
         single transmit pipeline cannot queue overlapping bursts.
+
+        ``rx_chunk`` is the received chunk starting at sample
+        ``chunk_start`` that :meth:`observe_rx` has not been fed yet.
+        A replay burst replays only samples received up to and
+        including its trigger, so its snapshot comes from the capture
+        followed by the chunk's samples up to the trigger.
         """
         intervals: list[JamInterval] = []
         for trigger in trigger_times:
@@ -216,7 +224,8 @@ class TransmitController:
                 waveform=self._waveform,
             ))
             if self._waveform is JamWaveform.REPLAY:
-                self._interval_sources[start] = self._capture_replay()
+                self._interval_sources[start] = self._capture_replay(
+                    rx_chunk, trigger - chunk_start)
         return intervals
 
     @property
@@ -224,11 +233,27 @@ class TransmitController:
         """The captured samples, oldest first (a view of the capture)."""
         return self._capture[MAX_REPLAY_LENGTH - self._captured:]
 
-    def _capture_replay(self) -> np.ndarray:
-        """Snapshot the most recent received samples for replay."""
-        if self._captured == 0:
+    def _capture_replay(self, rx_chunk: np.ndarray | None,
+                        local: int) -> np.ndarray:
+        """Snapshot the last ``replay_length`` samples received so far.
+
+        They are the capture followed by ``rx_chunk[:local + 1]``, the
+        chunk's samples up to a trigger at chunk index ``local``.
+        """
+        upto = 0
+        if rx_chunk is not None:
+            upto = min(max(local + 1, 0), rx_chunk.size)
+        length = self._replay_length
+        if upto >= length:
+            return rx_chunk[upto - length:upto].astype(np.complex128)
+        kept = min(self._captured, length - upto)
+        if kept + upto == 0:
             return np.zeros(1, dtype=np.complex128)
-        return self._rx_history[-self._replay_length:].copy()
+        snapshot = np.empty(kept + upto, dtype=np.complex128)
+        snapshot[:kept] = self._capture[MAX_REPLAY_LENGTH - kept:]
+        if upto:
+            snapshot[kept:] = rx_chunk[:upto]
+        return snapshot
 
     def observe_rx(self, rx_chunk: np.ndarray) -> None:
         """Feed received samples into the replay capture buffer.

@@ -54,6 +54,11 @@ def energies(samples: np.ndarray, out: np.ndarray,
     view, e.g. the payload columns of ``[tail | payload]`` rows);
     ``scratch``, of the same shape, holds the ``Q*Q`` term.  Exact for
     IQ16 samples (see the module docstring).
+
+    Squaring the samples' interleaved float64 view once and adding its
+    pairs gives the same bits, but its add reads both operands at a
+    stride: faster at 1024-sample chunks, slower at 8192 (see
+    ``docs/performance.md``).
     """
     np.square(samples.real, out=out)
     np.square(samples.imag, out=scratch)
@@ -68,9 +73,10 @@ def moving_sums(padded: np.ndarray, window: int, out: np.ndarray,
     Each row of ``padded`` is ``[tail | energies]`` float64; the
     ``(..., n)`` sums are the sequential cumulative-sum difference, so
     streaming and batched shapes give bit-identical sums.  ``csum`` is
-    scratch shaped like ``padded``; a call is two numpy passes.
+    scratch shaped like ``padded``, or ``padded`` itself, which then
+    holds the cumulative sums afterwards; a call is two numpy passes.
     """
-    np.cumsum(padded, axis=-1, out=csum)
+    np.add.accumulate(padded, axis=-1, out=csum)
     return np.subtract(csum[..., window:], csum[..., :-window], out=out)
 
 

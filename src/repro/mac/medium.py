@@ -26,7 +26,7 @@ paper's measured SIR cliffs and documented in EXPERIMENTS.md:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable
 
 import numpy as np

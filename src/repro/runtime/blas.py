@@ -5,8 +5,10 @@ thread per core.  A sweep's trials are small GEMMs: a second BLAS
 thread buys a trial nothing, and in a worker pool it competes with the
 other workers for the same cores.  :func:`one_blas_thread` caps every
 copy mapped into the process at one thread for the length of a block
-and restores the caller's counts on every exit; pool workers call
-:func:`cap_blas_threads` as their initializer.
+and restores the caller's counts on every exit.  A sweep forks its pool
+workers inside that block, so they inherit the count of one and call
+no setter: in a forked child OpenBLAS's thread pool is down, and its
+setter would start it again (one idle helper thread per copy).
 
 The copies are found once per process, from the shared objects named in
 ``/proc/self/maps`` that export an OpenBLAS thread getter and setter
@@ -77,12 +79,6 @@ def blas_libraries() -> tuple[BlasLibrary, ...]:
     return tuple(found)
 
 
-def cap_blas_threads() -> None:
-    """Set every copy to one thread (a pool worker's initializer)."""
-    for library in blas_libraries():
-        library.set_threads(1)
-
-
 @contextmanager
 def one_blas_thread() -> Iterator[int | None]:
     """Run the block with every copy on one thread.
@@ -96,7 +92,8 @@ def one_blas_thread() -> Iterator[int | None]:
         yield None
         return
     saved = [library.get_threads() for library in libraries]
-    cap_blas_threads()
+    for library in libraries:
+        library.set_threads(1)
     try:
         yield 1
     finally:
@@ -107,6 +104,5 @@ def one_blas_thread() -> Iterator[int | None]:
 __all__ = [
     "BlasLibrary",
     "blas_libraries",
-    "cap_blas_threads",
     "one_blas_thread",
 ]

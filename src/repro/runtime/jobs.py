@@ -76,7 +76,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError, WorkerCrashError
-from repro.runtime.blas import cap_blas_threads, one_blas_thread
+from repro.runtime.blas import one_blas_thread
 from repro.runtime.cache import cache_key
 
 if TYPE_CHECKING:  # one-way dependencies: runtime never imports these
@@ -541,10 +541,13 @@ class WorkerSupervisor:
     # -- supervised pool path ------------------------------------------
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        """The one pool constructor; each worker starts on one BLAS thread."""
+        """The one pool constructor.
+
+        Workers are forked inside the sweep's ``one_blas_thread()``
+        block, so each starts on the one BLAS thread it inherits.
+        """
         return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=_pool_context(),
-                                   initializer=cap_blas_threads)
+                                   mp_context=_pool_context())
 
     def _recycle_pool(self, pool: ProcessPoolExecutor
                       ) -> ProcessPoolExecutor:

@@ -656,3 +656,79 @@ class TestRJ014UnboundedRetry:
                         pass
             """, "src/repro/hw/bad.py")
         assert len(found) == 1
+
+
+class TestRJ015UnusedImport:
+    def test_fires_on_unused_module_and_from_imports(self):
+        found = _run("RJ015", """\
+            from __future__ import annotations
+
+            import os
+            import numpy as np
+            from repro.kernels import (
+                edge_mask,
+                sign_plane,
+            )
+
+            def signs(samples):
+                return sign_plane(np.asarray(samples))
+            """, "src/repro/hw/bad.py")
+        assert sorted((finding.line, finding.message.split("'")[1])
+                      for finding in found) == [(3, "os"), (6, "edge_mask")]
+
+    def test_dotted_import_binds_its_root(self):
+        found = _run("RJ015", """\
+            import os.path
+            import xml.dom as dom
+
+            def here():
+                return os.path.abspath(".")
+            """, "tests/bad.py")
+        assert [finding.message.split("'")[1] for finding in found] \
+            == ["dom"]
+
+    def test_attribute_roots_annotations_and_all_count_as_reads(self):
+        assert not _run("RJ015", """\
+            from __future__ import annotations
+
+            import numpy as np
+            from collections.abc import Iterator
+            from repro.kernels import sign_plane
+            from repro.runtime.buffers import ScratchBuffer
+            from repro.core.events import JamEvent
+
+            __all__ = ["sign_plane"]
+
+            scratch: "ScratchBuffer | None" = None
+
+            def events() -> Iterator[JamEvent]:
+                yield from np.zeros(0)
+            """, "src/repro/hw/good.py")
+
+    def test_function_local_imports_are_checked(self):
+        found = _run("RJ015", """\
+            def plot():
+                import json
+                import math
+                return math.pi
+            """, "examples/bad.py")
+        assert [finding.message.split("'")[1] for finding in found] \
+            == ["json"]
+
+    def test_package_init_re_exports_are_exempt(self):
+        assert not _run("RJ015", """\
+            from repro.kernels.xcorr import sign_plane
+            """, "src/repro/kernels/__init__.py")
+
+    def test_side_effect_import_takes_an_inline_suppression(self):
+        source = """\
+            import repro.experiments.detection{comment}
+            from repro.runtime import blas
+
+            LIBRARIES = blas.blas_libraries()
+            """
+        assert len(_run("RJ015", source.format(comment=""),
+                        "tests/test_x.py")) == 1
+        assert not _run("RJ015", source.format(
+            comment="  # repro-lint: disable=RJ015 (maps its BLAS)"),
+            "tests/test_x.py")

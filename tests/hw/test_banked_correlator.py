@@ -141,9 +141,9 @@ class TestFacadeStreaming:
         assert 0 not in xcorr_times(awgn(50, 1.0, rng))
         # Reloading the same banks restarts the carries like a fresh
         # bank of correlators...
-        history = core.banked._history.copy()
+        history = core.banked.history
         device.bus.write(regmap.REG_BANK_COUNT, 1)
-        np.testing.assert_array_equal(core.banked._history, history)
+        np.testing.assert_array_equal(core.banked.history, history)
         assert 0 in xcorr_times(awgn(50, 1.0, rng))
 
     def test_reset_and_clear_last(self, rng, template_a):

@@ -141,7 +141,7 @@ class TestSilentRule:
         reference.metric(tail)
         assert len(calls) == ran
         assert trigger.shape == (2, 700) and not trigger.any()
-        assert correlator._history.tobytes() == reference._history.tobytes()
+        assert correlator.history.tobytes() == reference.history.tobytes()
 
 
 @given(st.lists(st.tuples(st.integers(1, 700), st.integers(0, 3)),
@@ -185,8 +185,8 @@ def test_switching_matches_an_always_gemm_reference(plan):
         got = [d.time - start for d in out.detections
                if d.source is TriggerSource.XCORR]
         assert got == expected_edges.tolist()
-        assert core.correlator._history.tobytes() == \
-            reference._history.tobytes()
+        assert core.correlator.history.tobytes() == \
+            reference.history.tobytes()
         start += chunk.size
 
 
@@ -280,4 +280,92 @@ def test_silent_history_matches_gemm_history(chunk):
     for start in range(0, rx.size, chunk):
         silent.detect(rx[start:start + chunk])
         reference.metric(rx[start:start + chunk])
-        assert silent._history.tobytes() == reference._history.tobytes()
+        assert silent.history.tobytes() == reference.history.tobytes()
+
+
+class TestPendingHistory:
+    """A silent correlator keeps its chunk tails raw and signs them
+    when the history is read; these cases read it at every point a
+    pending tail could leak or be lost."""
+
+    @staticmethod
+    def _reference(rx) -> CrossCorrelator:
+        reference = CrossCorrelator(*_COEFFS)
+        reference.metric(rx)
+        return reference
+
+    def test_reset_drops_the_pending_tail(self):
+        rx = _stream(600)
+        correlator = CrossCorrelator(*_COEFFS)
+        correlator.detect(rx[:400])
+        correlator.detect(rx[400:430])
+        correlator.reset()
+        assert not correlator.history.any()
+        correlator.threshold = _LIVE_THRESHOLD
+        fresh = CrossCorrelator(*_COEFFS, threshold=_LIVE_THRESHOLD)
+        np.testing.assert_array_equal(correlator.detect(rx),
+                                      fresh.detect(rx))
+        assert correlator.history.tobytes() == fresh.history.tobytes()
+
+    def test_bank_load_keeps_the_pending_tail(self):
+        rx = _stream(1500)
+        correlator = CrossCorrelator(*_COEFFS)
+        correlator.detect(rx[:200])
+        correlator.detect(rx[200:240])
+        correlator.load_banks([_COEFFS, _COEFFS],
+                              [_LIVE_THRESHOLD, METRIC_MAX])
+        reference = self._reference(rx[:240])
+        assert correlator.history.tobytes() == reference.history.tobytes()
+        trigger = correlator.detect(rx[240:])
+        expected = reference.metric(rx[240:])[0] > _LIVE_THRESHOLD
+        np.testing.assert_array_equal(trigger[0], expected)
+        assert expected.any() and not trigger[1].any()
+
+    def test_bank_load_then_live_chunk_without_a_read(self):
+        rx = _stream(1500)
+        correlator = CrossCorrelator(*_COEFFS)
+        correlator.detect(rx[:500])
+        correlator.load_bank(0, *_COEFFS)
+        correlator.threshold = _LIVE_THRESHOLD
+        reference = self._reference(rx[:500])
+        expected = reference.metric(rx[500:])[0] > _LIVE_THRESHOLD
+        np.testing.assert_array_equal(correlator.detect(rx[500:])[0],
+                                      expected)
+
+    def test_live_chunk_signs_the_pending_tail_first(self):
+        # The planted template at 300..363 straddles the silent/live
+        # boundary, so the live windows read 30 pending samples.
+        rx = _stream(1000)
+        reference = self._reference(rx[:330])
+        expected = reference.metric(rx[330:])
+        correlator = CrossCorrelator(*_COEFFS)
+        correlator.detect(rx[:330])
+        np.testing.assert_array_equal(correlator.metric(rx[330:]), expected)
+        live = CrossCorrelator(*_COEFFS)
+        live.detect(rx[:330])
+        live.threshold = _LIVE_THRESHOLD
+        (trigger,) = live.detect(rx[330:])
+        np.testing.assert_array_equal(trigger, expected[0] > _LIVE_THRESHOLD)
+        assert trigger[363 - 330]
+        assert live.history.tobytes() == reference.history.tobytes()
+
+    @pytest.mark.parametrize("lengths", [(100, 10), (63, 1, 62), (64, 40, 30),
+                                         (5, 200, 7, 7, 70, 1)])
+    def test_short_silent_chunks_after_longer_ones(self, lengths):
+        rx = _stream(sum(lengths))
+        read_each, read_last = (CrossCorrelator(*_COEFFS) for _ in range(2))
+        start = 0
+        for length in lengths:
+            read_each.detect(rx[start:start + length])
+            read_last.detect(rx[start:start + length])
+            start += length
+            assert read_each.history.tobytes() == \
+                self._reference(rx[:start]).history.tobytes()
+        assert read_last.history.tobytes() == read_each.history.tobytes()
+
+    def test_history_is_a_copy(self):
+        correlator = CrossCorrelator(*_COEFFS)
+        correlator.detect(_stream(100))
+        history = correlator.history
+        history[:] = 0
+        assert correlator.history.any()

@@ -188,6 +188,46 @@ class TestReplay:
             assert tx._rx_history.tobytes() == \
                 seen[-MAX_REPLAY_LENGTH:].tobytes()
 
+    @pytest.mark.parametrize("captured, triggers, replay_length", [
+        (0, [0], 8),            # nothing captured: the chunk's first sample
+        (0, [-5], 8),           # a trigger before the chunk: empty capture
+        (3, [2], 8),            # capture and chunk prefix both short
+        (100, [3], 32),         # mostly capture
+        (600, [40], MAX_REPLAY_LENGTH),
+        (600, [700], MAX_REPLAY_LENGTH),   # the chunk prefix alone
+        (5, [999], 16),         # a trigger past the chunk's end
+        (50, [10, 30, 300], 64),           # several bursts in one chunk
+    ])
+    def test_snapshot_from_chunk_prefix(self, rng, captured, triggers,
+                                        replay_length):
+        """Scheduling with the unobserved chunk equals feeding the
+        chunk up to each trigger first, then scheduling that trigger."""
+        history = rng.standard_normal(captured) + 1j * rng.standard_normal(
+            captured)
+        chunk = rng.standard_normal(800) + 1j * rng.standard_normal(800)
+        start = 1000
+        lazy, eager = (TransmitController(
+            waveform=JamWaveform.REPLAY, uptime_samples=10,
+            replay_length=replay_length) for _ in range(2))
+        lazy.observe_rx(history)
+        eager.observe_rx(history)
+        times = [start + t for t in triggers]
+        got = lazy.schedule(times, chunk, start)
+        lazy.observe_rx(chunk)
+        expected, fed = [], 0
+        for time in times:
+            upto = min(max(time - start + 1, 0), chunk.size)
+            if upto > fed:
+                eager.observe_rx(chunk[fed:upto])
+                fed = upto
+            expected += eager.schedule([time])
+        eager.observe_rx(chunk[fed:])
+        assert got == expected
+        for interval in got:
+            assert lazy._interval_sources[interval.start].tobytes() == \
+                eager._interval_sources[interval.start].tobytes()
+        assert lazy._rx_history.tobytes() == eager._rx_history.tobytes()
+
     def test_history_does_not_alias_the_chunk(self, rng):
         tx = TransmitController()
         chunk = rng.standard_normal(1000) + 0j

@@ -157,3 +157,53 @@ class TestEnergyDetectBatch:
         with pytest.raises(StreamError):
             energy_detect_batch(np.zeros((2, 8), dtype=complex),
                                 np.array([8, 9]), 4, 8, 2.0, 2.0)
+
+
+class TestOperandLayout:
+    """Strided and complex64 samples give the contiguous complex128
+    result, in the streaming facade and in the batch kernel."""
+
+    @staticmethod
+    def _samples(rng, shape):
+        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+            .astype(np.complex64)
+
+    def test_facade_takes_strided_and_complex64_chunks(self):
+        rng = np.random.default_rng(5)
+        wide = self._samples(rng, 1200)
+        wide[300:400] *= 8
+        strided = wide[::2]
+        reference = EnergyDifferentiator(threshold_high_db=6.0)
+        detectors = [EnergyDifferentiator(threshold_high_db=6.0)
+                     for _ in range(2)]
+        for start in range(0, strided.size, 150):
+            expected = reference.detect(
+                strided[start:start + 150].astype(np.complex128))
+            np.testing.assert_array_equal(
+                detectors[0].detect(strided[start:start + 150]), expected)
+            np.testing.assert_array_equal(
+                detectors[1].detect(
+                    np.ascontiguousarray(strided[start:start + 150])),
+                expected)
+        sums = EnergyDifferentiator().energy_sums(wide[1::3])
+        np.testing.assert_array_equal(
+            sums, EnergyDifferentiator().energy_sums(
+                wide[1::3].astype(np.complex128)))
+
+    def test_batch_takes_strided_and_complex64_blocks(self):
+        rng = np.random.default_rng(6)
+        wide = self._samples(rng, (3, 600))
+        wide[1, 100:160] *= 8
+        lengths = np.array([300, 120, 300], dtype=np.int64)
+        thr = _linear(6.0)
+        expected = energy_detect_batch(
+            wide[:, ::2].astype(np.complex128), lengths,
+            DEFAULT_WINDOW, DEFAULT_DELAY, thr, thr)
+        assert expected.edge_high.any()
+        for blocks in (wide[:, ::2], np.ascontiguousarray(wide[:, ::2])):
+            result = energy_detect_batch(blocks, lengths, DEFAULT_WINDOW,
+                                         DEFAULT_DELAY, thr, thr)
+            for name in ("trigger_high", "trigger_low", "edge_high",
+                         "edge_low", "energy_tail", "sum_tail"):
+                np.testing.assert_array_equal(getattr(result, name),
+                                              getattr(expected, name))

@@ -196,7 +196,7 @@ class TestBatchLeg:
             np.testing.assert_array_equal(result.edge_plane[b, :, :length],
                                           edge_mask(trigger, last))
             last = trigger[:, -1].copy()
-        np.testing.assert_array_equal(result.history, facade._history)
+        np.testing.assert_array_equal(result.history, facade.history)
         np.testing.assert_array_equal(result.last, last)
 
 
@@ -286,4 +286,4 @@ class TestRegisterDrivenAgainstReference:
             history = np.concatenate([
                 np.zeros(2 * (CORRELATOR_LENGTH - 1), dtype=np.int8),
                 sign_plane(rx[:start])])[-2 * (CORRELATOR_LENGTH - 1):]
-            np.testing.assert_array_equal(core.banked._history, history)
+            np.testing.assert_array_equal(core.banked.history, history)

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
-import repro.experiments.detection  # noqa: F401  (maps scipy's OpenBLAS too)
+import repro.experiments.detection  # noqa: F401  # repro-lint: disable=RJ015 (maps scipy's OpenBLAS too)
 from repro.errors import WorkerCrashError
 from repro.runtime import blas
 from repro.runtime.jobs import (
     ResilienceConfig,
-    WorkerSupervisor,
+    _pool_context,
     last_sweep_health,
     resilient_sweep,
 )
@@ -29,6 +31,12 @@ def _real_threads() -> list[int]:
 def _report_threads(point, rng: np.random.Generator) -> list[int]:
     """Trial fn: the BLAS thread counts it runs under."""
     return _real_threads()
+
+
+def _report_os_threads(point, rng: np.random.Generator
+                       ) -> tuple[int, list[int]]:
+    """Trial fn: the process's OS threads and its BLAS thread counts."""
+    return len(os.listdir("/proc/self/task")), _real_threads()
 
 
 def _fail(point, rng: np.random.Generator) -> None:
@@ -70,14 +78,19 @@ class TestSweepPolicy:
         assert results == [[[1] * len(_LIBRARIES)]] * 8
         assert _real_threads() == two_threads
 
-    def test_pool_workers_start_capped(self, two_threads):
-        """The pool's initializer caps a worker forked from 2 threads."""
-        pool = WorkerSupervisor(2, ResilienceConfig())._new_pool()
-        try:
-            assert pool.submit(_report_threads, None, None).result() \
-                == [1] * len(_LIBRARIES)
-        finally:
-            pool.shutdown()
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no /proc/self/task to count OS threads")
+    @pytest.mark.skipif(_pool_context().get_start_method() != "fork",
+                        reason="pool workers are not forked here")
+    def test_pool_workers_inherit_the_cap(self, two_threads):
+        """A sweep's forked worker runs one OS thread at BLAS count 1.
+
+        Calling a thread setter in a forked child would restart
+        OpenBLAS's pool: one idle helper thread per copy.
+        """
+        results = resilient_sweep(_report_os_threads, list(range(4)),
+                                  workers=2)
+        assert results == [[(1, [1] * len(_LIBRARIES))]] * 4
         assert _real_threads() == two_threads
 
     def test_health_records_the_cap(self, two_threads):
