@@ -39,10 +39,14 @@ from repro.core.coeffs import (
 from repro.dsp.resample import resample
 from repro.errors import ConfigurationError
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
-from repro.hw.energy_differentiator import DEFAULT_DELAY, DEFAULT_WINDOW
+from repro.hw.energy_differentiator import (
+    DEFAULT_DELAY,
+    THRESHOLD_MAX_DB,
+    THRESHOLD_MIN_DB,
+    EnergyDifferentiator,
+)
 from repro.kernels import (
     clamped_thresholds,
-    energy_detect_batch,
     prepare_coefficients,
     sign_plane,
     xcorr_detect,
@@ -284,48 +288,26 @@ def _draw_row(rng: np.random.Generator, row: np.ndarray, size: int) -> None:
     row[width + size:] = 0.0
 
 
-def _count_frames(spec: _CurveTrialSpec, rng: np.random.Generator
-                  ) -> tuple[int, int]:
-    """Batched frame engine: (frames detected, total in-frame triggers).
+def _trial_rows(spec: _CurveTrialSpec, rng: np.random.Generator,
+                warmup: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """One trial's complex rows from column ``start``, and frame lengths.
 
-    Draws the trial into one plane in the RNG order of the streaming
-    loop (:func:`_draw_plane`), then scales and assembles as complex
-    only the columns the detector reads, and adds the frames in one
-    pass.  Per-frame counts are byte-identical to feeding the frames
-    one by one through the streaming detectors; the per-frame loop
-    lives on in the tests as the oracle.
-
-    A frame counts only the rising edges at columns ``>= GUARD_SAMPLES``,
-    and an edge at column ``c`` reads the triggers at ``c`` and
-    ``c - 1``.  The first trigger that matters is therefore the one at
-    ``GUARD_SAMPLES - 1``, whose ``taps``-sample window starts at
-    ``GUARD_SAMPLES - taps``.  Correlator rows start at that column and
-    are not chained: each row's own first ``taps - 1`` samples are its
-    history, so the kernel evaluates only the windows ending at columns
-    ``GUARD_SAMPLES - 1`` onwards, and an edge is one compare of
-    adjacent triggers.  A bank longer than the guard would need the
-    previous frame as history and is rejected.  Energy rows keep their
-    full width and are chained through :func:`energy_detect_batch`:
-    their float moving sums run on unquantized samples, and where a
-    row's cumulative sum starts changes their rounding (see
-    :mod:`repro.kernels.energy`).
+    The draws come from :func:`_draw_plane` in the streaming loop's RNG
+    order (correlator specs also draw a carrier phase per frame).  Only
+    the columns from ``start`` on are scaled, as
+    :func:`repro.channel.awgn.awgn` scales them, and the frames are
+    added in one pass.  A non-zero ``warmup`` is row 0; each frame row
+    follows, its frame from column ``GUARD_SAMPLES - start`` and zeros
+    past its end.  Counts taken from these rows are byte-identical to
+    feeding the frames one by one through the streaming detectors,
+    the oracle loop in the tests.
     """
     arrivals = _frame_arrivals(spec.frame_kind, spec.frame_seed)
     scale = np.sqrt(units.db_to_linear(spec.snr_db))
-    energy_mode = spec.energy_threshold_db is not None
-    if energy_mode:
-        warmup, start = 4 * DEFAULT_DELAY, 0
-    else:
-        prepared = prepare_coefficients([(spec.coeffs_i, spec.coeffs_q)])
-        if prepared.taps > GUARD_SAMPLES:
-            raise ConfigurationError(
-                f"a {prepared.taps}-tap bank is longer than the "
-                f"{GUARD_SAMPLES}-sample guard")
-        warmup, start = 0, GUARD_SAMPLES - prepared.taps
     frame_sizes = np.array([a.size for a in arrivals])
     plane, picks, phases = _draw_plane(
         rng, spec.n_frames, [GUARD_SAMPLES + n for n in frame_sizes.tolist()],
-        warmup, phased=not energy_mode)
+        warmup, phased=spec.energy_threshold_db is None)
     first = 1 if warmup else 0
 
     # The awgn scaling, on the read columns only; a frame's zero
@@ -338,37 +320,74 @@ def _count_frames(spec: _CurveTrialSpec, rng: np.random.Generator
                       dtype=np.complex128)
     for index, arrival in enumerate(arrivals):
         padded[index, :arrival.size] = arrival
-    factors = scale if energy_mode else scale * np.exp(1j * phases)[:, None]
+    factors = scale if phases is None \
+        else scale * np.exp(1j * phases)[:, None]
     rows[first:, GUARD_SAMPLES - start:] += padded[picks] * factors
+    return rows, frame_sizes[picks]
 
-    lengths = frame_sizes[picks]
-    if energy_mode:
-        threshold = units.db_to_linear(spec.energy_threshold_db)
-        result = energy_detect_batch(
-            rows, np.concatenate([[warmup], GUARD_SAMPLES + lengths]),
-            DEFAULT_WINDOW, DEFAULT_DELAY, threshold, threshold)
-        in_frame = result.edge_high[first:, GUARD_SAMPLES:]
-    else:
-        limits = clamped_thresholds(prepared, [spec.threshold])
-        # trigger[:, j] is the window ending at column GUARD_SAMPLES - 1 + j.
-        trigger = xcorr_detect(sign_plane(rows), prepared, limits)[:, 0]
-        in_frame = trigger[:, 1:] > trigger[:, :-1]
-        if np.any(lengths < in_frame.shape[1]):
-            in_frame &= np.arange(in_frame.shape[1]) < lengths[:, None]
+
+def _tally(in_frame: np.ndarray) -> tuple[int, int]:
+    """(frames detected, total in-frame edges) of a per-frame edge plane."""
     per_frame = in_frame.sum(axis=1)
     return int((per_frame > 0).sum()), int(per_frame.sum())
 
 
 def _xcorr_trial(spec: _CurveTrialSpec, rng: np.random.Generator
                  ) -> tuple[int, int]:
-    """One correlator trial batch (a sweep task)."""
-    return _count_frames(spec, rng)
+    """One correlator trial batch (a sweep task).
+
+    A frame counts only the rising edges at columns ``>= GUARD_SAMPLES``,
+    and an edge at column ``c`` reads the triggers at ``c`` and
+    ``c - 1``.  The first trigger that matters is therefore the one at
+    ``GUARD_SAMPLES - 1``, whose ``taps``-sample window starts at
+    ``GUARD_SAMPLES - taps``.  Rows start at that column and are not
+    chained: each row's own first ``taps - 1`` samples are its history,
+    so the kernel evaluates only the windows ending at columns
+    ``GUARD_SAMPLES - 1`` onwards, and an edge is one compare of
+    adjacent triggers.  A bank longer than the guard would need the
+    previous frame as history and is rejected.
+    """
+    prepared = prepare_coefficients([(spec.coeffs_i, spec.coeffs_q)])
+    if prepared.taps > GUARD_SAMPLES:
+        raise ConfigurationError(
+            f"a {prepared.taps}-tap bank is longer than the "
+            f"{GUARD_SAMPLES}-sample guard")
+    rows, lengths = _trial_rows(spec, rng, warmup=0,
+                                start=GUARD_SAMPLES - prepared.taps)
+    limits = clamped_thresholds(prepared, [spec.threshold])
+    # trigger[:, j] is the window ending at column GUARD_SAMPLES - 1 + j.
+    trigger = xcorr_detect(sign_plane(rows), prepared, limits)[:, 0]
+    in_frame = trigger[:, 1:] > trigger[:, :-1]
+    if np.any(lengths < in_frame.shape[1]):
+        in_frame &= np.arange(in_frame.shape[1]) < lengths[:, None]
+    return _tally(in_frame)
 
 
 def _energy_trial(spec: _CurveTrialSpec, rng: np.random.Generator
                   ) -> tuple[int, int]:
-    """One energy-differentiator trial batch (a sweep task)."""
-    return _count_frames(spec, rng)
+    """One energy-differentiator trial batch (a sweep task).
+
+    The warm-up row, which consumes the cold-start rise, and then each
+    frame row at its valid length stream through one
+    :class:`EnergyDifferentiator`, whose energy and sum tails chain the
+    rows as they chain a stream's chunks.  The rows keep their full
+    width: their float moving sums run on unquantized samples, where a
+    cumulative sum's start changes its rounding.  Trigger rows land in
+    a zeroed plane, so a frame's padding never rises, and the counted
+    edges at columns ``>= GUARD_SAMPLES`` are one compare of adjacent
+    triggers that never reads a row's column 0, so they need no carry.
+    """
+    warmup = 4 * DEFAULT_DELAY
+    rows, lengths = _trial_rows(spec, rng, warmup, start=0)
+    detector = EnergyDifferentiator(spec.energy_threshold_db,
+                                    spec.energy_threshold_db)
+    detector.detect(rows[0, :warmup])
+    triggers = np.zeros((spec.n_frames, 2, rows.shape[1]), dtype=bool)
+    for row, trigger, length in zip(rows[1:], triggers,
+                                    (GUARD_SAMPLES + lengths).tolist()):
+        detector.detect(row[:length], out=trigger[:, :length])
+    high = triggers[:, 0]
+    return _tally(high[:, GUARD_SAMPLES:] > high[:, GUARD_SAMPLES - 1:-1])
 
 
 def _trial_batches(n_frames: int) -> list[int]:
@@ -522,8 +541,14 @@ def energy_detector_curve(snrs_db: list[float], n_frames: int = 500,
     frame — the paper highlights the multiple-detection regime between
     -3 and 8 dB SNR.  Runs on the same sweep grid as the correlator
     curves, so the result is independent of ``workers``.
+    ``threshold_db`` must lie in the block's programmable 3-30 dB
+    range; it is checked before any trial runs.
     """
     batches = _trial_batches(n_frames)
+    if not THRESHOLD_MIN_DB <= threshold_db <= THRESHOLD_MAX_DB:
+        raise ConfigurationError(
+            f"energy threshold {threshold_db} dB outside the programmable "
+            f"{THRESHOLD_MIN_DB}-{THRESHOLD_MAX_DB} dB range")
     specs = [
         _CurveTrialSpec(frame_kind="full", snr_db=snr_db,
                         n_frames=batch, frame_seed=seed,

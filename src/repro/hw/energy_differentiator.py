@@ -145,7 +145,7 @@ class EnergyDifferentiator:
         n`` over :data:`EXACT_SUM_LENGTH`) runs in pieces that each
         stay within it.  Each piece's energies are written straight
         into the ``[tail | piece]`` plane in ``work`` and summed in
-        place by the kernels the batch form shares.
+        place.
         """
         window = self._window
         piece = EXACT_SUM_LENGTH - window
@@ -158,7 +158,7 @@ class EnergyDifferentiator:
             # New tail = last `window` entries of [tail | energy], taken
             # before the cumulative sum overwrites the plane.
             self._energy_tail[:] = padded[n:]
-            moving_sums(padded, window, out[begin:begin + n], csum=padded)
+            moving_sums(padded, window, out[begin:begin + n])
         return out
 
     def energy_sums(self, samples: np.ndarray) -> np.ndarray:

@@ -99,7 +99,6 @@ class TransmitController:
         self.replay_length = replay_length
         self.amplitude = amplitude
         self._wgn_seed = int(wgn_seed)
-        self.continuous = False
         self._busy_until = -1
         # The replay capture: the last ``_captured`` received samples,
         # right-aligned in one fixed array updated in place.

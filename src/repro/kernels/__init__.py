@@ -7,8 +7,8 @@ The bit-exact compute layer under the detector facades:
   plane, comparing in the GEMM dtype against clamped thresholds
   (one trigger kernel for a stream chunk or a chained batch), plus
   the one rising-edge helper every trigger plane goes through;
-* :mod:`repro.kernels.energy` — the energy and moving-sum kernels the
-  streaming energy differentiator and its chained batch form share;
+* :mod:`repro.kernels.energy` — the exact energy and moving-sum
+  kernels of the streaming energy differentiator;
 * :mod:`repro.kernels.ops` — the choke point for the remaining raw
   convolution call sites (see repro-lint RJ009).
 
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from repro.kernels.energy import (
     EXACT_SUM_LENGTH,
-    EnergyBatchResult,
     energies,
-    energy_detect_batch,
     moving_sums,
 )
 from repro.kernels.xcorr import (
@@ -43,14 +41,12 @@ from repro.kernels.xcorr import (
 
 __all__ = [
     "EXACT_SUM_LENGTH",
-    "EnergyBatchResult",
     "StackedBatchResult",
     "StackedCoefficients",
     "chained_edges",
     "clamped_thresholds",
     "edge_mask",
     "energies",
-    "energy_detect_batch",
     "metric_ceiling",
     "moving_sums",
     "prepare_coefficients",

@@ -1,15 +1,17 @@
 """Streaming oracles for the batched detection-curve engine.
 
-:func:`repro.experiments.detection._count_frames` draws a trial into
-one plane and runs each kernel once over all its frames: correlator
-rows from ``GUARD_SAMPLES - taps`` on, each its own history, and
-chained full-width energy rows.  These are the per-frame streaming
-loops it replaced: one detector call per frame on the whole frame,
-with the detector state carried from frame to frame and edges taken
-by a few-line reference of their own, so an identity test against
-them checks the trimmed rows, the edge compare and the draw order
-independently of the engine.  Tests and the kernel benchmark import
-them.
+The trials in :mod:`repro.experiments.detection` draw a trial into one
+plane: :func:`~repro.experiments.detection._xcorr_trial` runs the
+correlator kernel once over rows from ``GUARD_SAMPLES - taps`` on,
+each its own history, and
+:func:`~repro.experiments.detection._energy_trial` streams full-width
+rows through one energy facade and takes edges with one compare.
+These are the per-frame streaming loops they replaced: one detector
+call per frame on the whole frame, with awgn noise, the detector state
+carried from frame to frame and edges taken by a few-line reference of
+their own, so an identity test against them checks the trimmed rows,
+the edge compare and the draw order independently of the engine.
+Tests and the kernel benchmark import them.
 """
 
 from __future__ import annotations

@@ -78,6 +78,14 @@ class TestFalseAlarmCalibration:
                                       chunk_samples=chunk_samples)
 
 
+#: Fig. 8's regimes at a 10 dB threshold: buried (-6 and 3 dB), frames
+#: firing more than once (8 dB) and clean single detections (16 dB).
+ENERGY_SNRS_DB = [-6.0, 3.0, 8.0, 16.0]
+
+#: Generator seeds every energy identity case replays.
+TRIAL_SEEDS = (1, 2, 3)
+
+
 class TestBatchedTrialIdentity:
     """The batched trial engine reproduces the streaming loop exactly."""
 
@@ -133,11 +141,16 @@ class TestBatchedTrialIdentity:
         assert batched_rng.bit_generator.state \
             == looped_rng.bit_generator.state
 
-    def test_energy_trial_matches_looped(self):
-        spec = _CurveTrialSpec(frame_kind="full", snr_db=3.0,
+    @staticmethod
+    def _energy_spec(snr_db):
+        return _CurveTrialSpec(frame_kind="full", snr_db=snr_db,
                                n_frames=30, frame_seed=77,
                                energy_threshold_db=10.0)
-        for seed in (1, 2, 3):
+
+    @pytest.mark.parametrize("snr_db", ENERGY_SNRS_DB)
+    def test_energy_trial_matches_looped(self, snr_db):
+        spec = self._energy_spec(snr_db)
+        for seed in TRIAL_SEEDS:
             batched_rng = np.random.default_rng(seed)
             looped_rng = np.random.default_rng(seed)
             batched = _energy_trial(spec, batched_rng)
@@ -145,6 +158,16 @@ class TestBatchedTrialIdentity:
             assert batched == looped
             assert batched_rng.bit_generator.state \
                 == looped_rng.bit_generator.state
+
+    def test_energy_identity_cases_reach_both_regimes(self):
+        """Some case never fires and some fires more often than it has
+        frames, so the identity above covers both count paths."""
+        cases = [(_energy_trial(spec, np.random.default_rng(seed))[1],
+                  spec.n_frames)
+                 for spec in map(self._energy_spec, ENERGY_SNRS_DB)
+                 for seed in TRIAL_SEEDS]
+        assert any(triggers == 0 for triggers, _ in cases)
+        assert any(triggers > frames for triggers, frames in cases)
 
     @pytest.mark.parametrize("energy", [False, True])
     def test_ragged_arrivals_match_looped(self, monkeypatch, energy):
@@ -375,6 +398,27 @@ class TestFrameBudget:
     def test_one_frame_is_a_point(self):
         (point,) = long_preamble_curve([6.0], n_frames=1, full_frames=False)
         assert point.n_frames == 1
+
+
+class TestEnergyThreshold:
+    """Fig. 8 takes the block's programmable 3-30 dB rise thresholds."""
+
+    @pytest.mark.parametrize("threshold_db", [2.9, 30.1, float("nan")])
+    def test_rejects_out_of_range_before_any_trial(self, monkeypatch,
+                                                   threshold_db):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(detection, "resilient_sweep", no_sweep)
+        with pytest.raises(ConfigurationError, match="3.0-30.0 dB"):
+            energy_detector_curve([9.0], n_frames=1,
+                                  threshold_db=threshold_db, workers=2)
+
+    @pytest.mark.parametrize("threshold_db", [3.0, 30.0])
+    def test_range_ends_run(self, threshold_db):
+        (point,) = energy_detector_curve([9.0], n_frames=2,
+                                         threshold_db=threshold_db)
+        assert point.n_frames == 2
 
 
 class TestTable1:
