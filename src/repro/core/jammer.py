@@ -32,9 +32,9 @@ from repro.core.detection import DetectionConfig
 from repro.core.events import JammingEventBuilder
 from repro.core.presets import JammerPersonality
 from repro.errors import ConfigurationError, StreamError
-from repro.hw.dsp_core import DetectionEvent, JamEvent
+from repro.hw.dsp_core import DetectionEvent
 from repro.hw.trigger import TriggerSource
-from repro.hw.tx_controller import JamWaveform
+from repro.hw.tx_controller import JamEvent, JamWaveform
 from repro.hw.uhd import UhdDriver
 from repro.hw.usrp import SbxFrontend, UsrpN210
 from repro.hw.watchdog import Watchdog, WatchdogTrip

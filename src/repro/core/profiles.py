@@ -41,30 +41,6 @@ def _bank_entries(core) -> list[dict]:
     return entries
 
 
-def _apply_banks(device: UsrpN210, driver: UhdDriver,
-                 banks: list[dict]) -> None:
-    """Program the banks in ``set_correlator_banks``' order.
-
-    The count is parked at 0, then every threshold and coefficient word
-    is shipped, and the count write comes last; with no banks the count
-    stays 0, the legacy mode.
-    """
-    driver.set_bank_count(0)
-    if not banks:
-        return
-    for index, bank in enumerate(banks):
-        device.core.set_bank_label(index, bank["label"])
-    for index, bank in enumerate(banks):
-        driver.set_bank_threshold(index, bank["threshold"])
-    for index, bank in enumerate(banks):
-        # The driver's public bank setters quantize complex templates;
-        # a profile holds the already-quantized words.
-        driver._write_bank_coefficients(
-            index, np.array(bank["coeffs_i"], dtype=np.int64),
-            np.array(bank["coeffs_q"], dtype=np.int64))
-    driver.set_bank_count(len(banks))
-
-
 def snapshot_profile(device: UsrpN210, name: str = "unnamed") -> dict:
     """Capture the device's current configuration as a profile dict."""
     core = device.core
@@ -130,7 +106,14 @@ def apply_profile(device: UsrpN210, profile: dict) -> int:
         driver.set_xcorr_threshold(det["xcorr_threshold"])
         driver.set_energy_thresholds(det["energy_high_db"],
                                      det["energy_low_db"])
-        _apply_banks(device, driver, det.get("banks", []))
+        banks = det.get("banks", [])
+        if banks:
+            driver.set_quantized_banks(
+                [(bank["coeffs_i"], bank["coeffs_q"]) for bank in banks],
+                [bank["threshold"] for bank in banks],
+                labels=[bank["label"] for bank in banks])
+        else:
+            driver.set_bank_count(0)  # legacy mode
 
         trig = profile["trigger"]
         sources = [TriggerSource[name] for name in trig["sources"]]

@@ -41,8 +41,8 @@ from repro.hw.registers import UserRegisterBus
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
 from repro.hw.energy_differentiator import EnergyDifferentiator
 from repro.hw.trigger import TriggerMode, TriggerSource, TriggerStateMachine
-from repro.hw.tx_controller import JamWaveform, TransmitController
-from repro.hw.dsp_core import CustomDspCore, DetectionEvent, JamEvent
+from repro.hw.tx_controller import JamEvent, JamWaveform, TransmitController
+from repro.hw.dsp_core import CustomDspCore, DetectionEvent
 from repro.hw.usrp import SbxFrontend, UsrpN210
 from repro.hw.uhd import DriverHealth, UhdDriver
 from repro.hw.watchdog import Watchdog, WatchdogConfig, WatchdogTrip

@@ -41,7 +41,7 @@ from repro.hw.trigger import (
     TriggerSource,
     TriggerStateMachine,
 )
-from repro.hw.tx_controller import JamInterval, JamWaveform, TransmitController
+from repro.hw.tx_controller import JamEvent, JamWaveform, TransmitController
 from repro.kernels import edge_mask
 from repro.runtime.buffers import ScratchBuffer
 
@@ -68,16 +68,6 @@ class DetectionEvent:
     time: int
     source: TriggerSource
     protocol: str | None = None
-
-
-@dataclass(frozen=True)
-class JamEvent:
-    """A completed or scheduled jam burst."""
-
-    trigger_time: int
-    start: int
-    end: int
-    waveform: JamWaveform
 
 
 @dataclass
@@ -142,7 +132,7 @@ class CustomDspCore:
         # The (K + 2, n) trigger plane and its edge mask, reused.
         self._trigger_scratch = ScratchBuffer(np.bool_)
         self._edge_scratch = ScratchBuffer(np.bool_)
-        self._active_intervals: list[JamInterval] = []
+        self._active_intervals: list[JamEvent] = []
         self._continuous_since: int | None = None
         self.detection_counts = {source: 0 for source in TriggerSource}
         self.jam_count = 0
@@ -545,27 +535,27 @@ class CustomDspCore:
             [(event.time, event.source) for event in detections]
         )
 
-        new_intervals: list[JamInterval] = []
-        if self._tx_allowed and jam_times:
-            # Replay snapshots take the chunk up to their trigger; the
-            # capture sees the whole chunk once, after scheduling.
-            new_intervals = self.tx.schedule(jam_times, samples, chunk_start)
-            if self.watchdog is not None:
-                new_intervals = self._admit_intervals(new_intervals)
+        jams: list[JamEvent] = []
+        if jam_times and self._tx_allowed and not self.continuous:
+            # Continuous mode ignores triggers: its one burst is always
+            # on.  The duty guard judges each trigger the pipeline is
+            # free for before the controller commits it.  Replay
+            # snapshots take the chunk up to their trigger; the capture
+            # sees the whole chunk once, after scheduling.
+            admit = (self.watchdog.admit_interval
+                     if self.watchdog is not None else None)
+            jams = self.tx.schedule(jam_times, samples, chunk_start, admit)
         self.tx.observe_rx(samples)
-        self.jam_count += len(new_intervals)
-        self._active_intervals.extend(new_intervals)
+        self.jam_count += len(jams)
+        self._active_intervals.extend(jams)
 
         self._synthesize_tx(chunk_start, tx_out)
-        jams = [JamEvent(trigger_time=iv.trigger_time, start=iv.start,
-                         end=iv.end, waveform=iv.waveform)
-                for iv in new_intervals]
         if self._tracer.enabled:
-            for interval in new_intervals:
+            for jam in jams:
                 self._tracer.span(
-                    "jam", CAT_TX, interval.start, interval.end,
-                    trigger_sample=interval.trigger_time,
-                    waveform=interval.waveform.name,
+                    "jam", CAT_TX, jam.start, jam.end,
+                    trigger_sample=jam.trigger_time,
+                    waveform=jam.waveform.name,
                 )
         self._clock += n
         self._retire_intervals()
@@ -635,26 +625,11 @@ class CustomDspCore:
                     )
         return events
 
-    def _admit_intervals(self, intervals: list[JamInterval]
-                         ) -> list[JamInterval]:
-        """Run scheduled bursts past the watchdog's duty guard.
-
-        A vetoed burst is cancelled in the transmit controller too, so
-        the pipeline does not stay busy for a burst that never airs.
-        """
-        admitted: list[JamInterval] = []
-        for interval in intervals:
-            if self.watchdog.admit_interval(interval.start, interval.end):
-                admitted.append(interval)
-            else:
-                self.tx.cancel_interval(interval)
-        return admitted
-
-    def _continuous_burst(self, end: int) -> JamInterval:
+    def _continuous_burst(self, end: int) -> JamEvent:
         """The always-on WGN burst, from when the flag was set to ``end``."""
         since = self._continuous_since
-        return JamInterval(trigger_time=since, start=since, end=end,
-                           waveform=JamWaveform.WGN)
+        return JamEvent(trigger_time=since, start=since, end=end,
+                        waveform=JamWaveform.WGN)
 
     def _synthesize_tx(self, chunk_start: int, tx: np.ndarray) -> None:
         """Write the chunk's jamming samples into ``tx`` (zero on entry).
@@ -679,7 +654,7 @@ class CustomDspCore:
             self.tx.synthesize(interval, chunk_start, n, out=tx)
 
     def _retire_intervals(self) -> None:
-        still_active: list[JamInterval] = []
+        still_active: list[JamEvent] = []
         for interval in self._active_intervals:
             if interval.end <= self._clock:
                 self.tx.release_interval(interval)

@@ -26,6 +26,7 @@ once.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +63,13 @@ class JamWaveform(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class JamInterval:
-    """One scheduled jamming burst on the absolute sample timeline.
+class JamEvent:
+    """One jam burst on the absolute sample timeline.
 
     ``start``/``end`` delimit the transmitted span (end exclusive);
-    ``trigger_time`` is the FSM completion time that caused it.
+    ``trigger_time`` is the FSM completion time that caused it.  The
+    controller schedules it, the core synthesizes it, and the same
+    record reaches ``CoreOutput.jams`` and ``JammingReport.jams``.
     """
 
     trigger_time: int
@@ -198,12 +201,22 @@ class TransmitController:
 
     def schedule(self, trigger_times: list[int],
                  rx_chunk: np.ndarray | None = None,
-                 chunk_start: int = 0) -> list[JamInterval]:
-        """Turn FSM jam triggers into transmit intervals.
+                 chunk_start: int = 0,
+                 admit: Callable[[int, int], bool] | None = None
+                 ) -> list[JamEvent]:
+        """Decide each FSM jam trigger, in time order, and commit it.
 
         Triggers that arrive while a previous burst (including its
         delay period) is still pending are ignored, as the hardware's
         single transmit pipeline cannot queue overlapping bursts.
+
+        ``admit(start, end)``, when given, is asked about each trigger
+        the pipeline is free for (the DSP core passes the watchdog's
+        duty guard, :meth:`repro.hw.watchdog.Watchdog.admit_interval`).
+        A vetoed trigger commits nothing: the pipeline stays free for
+        the next trigger and no replay snapshot is taken.  An admitted
+        one moves the busy horizon and comes back as a
+        :class:`JamEvent`.
 
         ``rx_chunk`` is the received chunk starting at sample
         ``chunk_start`` that :meth:`observe_rx` has not been fed yet.
@@ -211,21 +224,23 @@ class TransmitController:
         including its trigger, so its snapshot comes from the capture
         followed by the chunk's samples up to the trigger.
         """
-        intervals: list[JamInterval] = []
+        bursts: list[JamEvent] = []
         for trigger in trigger_times:
             if trigger < self._busy_until:
                 continue
             start = trigger + INIT_LATENCY_SAMPLES + self._delay
             end = start + self._uptime
+            if admit is not None and not admit(start, end):
+                continue
             self._busy_until = end
-            intervals.append(JamInterval(
+            bursts.append(JamEvent(
                 trigger_time=trigger, start=start, end=end,
                 waveform=self._waveform,
             ))
             if self._waveform is JamWaveform.REPLAY:
                 self._interval_sources[start] = self._capture_replay(
                     rx_chunk, trigger - chunk_start)
-        return intervals
+        return bursts
 
     @property
     def _rx_history(self) -> np.ndarray:
@@ -319,7 +334,7 @@ class TransmitController:
         if tail:
             out[out.size - tail:] += source[:tail] * amplitude
 
-    def synthesize(self, interval: JamInterval, chunk_start: int,
+    def synthesize(self, interval: JamEvent, chunk_start: int,
                    chunk_length: int, out: np.ndarray | None = None
                    ) -> tuple[int, np.ndarray]:
         """Waveform samples where ``interval`` overlaps the chunk.
@@ -356,17 +371,19 @@ class TransmitController:
             self._add_cycled(self._host_waveform, offset_in_burst, wave)
         return local, wave
 
-    def release_interval(self, interval: JamInterval) -> None:
+    def release_interval(self, interval: JamEvent) -> None:
         """Drop the replay snapshot and noise stream of a finished burst."""
         self._interval_sources.pop(interval.start, None)
         self._wgn_streams.pop(interval.start, None)
 
-    def cancel_interval(self, interval: JamInterval) -> None:
+    def cancel_interval(self, interval: JamEvent) -> None:
         """Abort a just-scheduled burst before any sample is emitted.
 
-        Used by the watchdog's duty-cycle guard: a vetoed burst must
-        also free the transmit pipeline, otherwise the controller would
-        stay busy for a burst that never airs.
+        Nothing in the model calls this: a vetoed burst is never
+        committed, since :meth:`schedule` asks its ``admit`` check
+        first.  It stays only because the end-to-end benchmark's traced
+        pass (``benchmarks/e2e/workloads.py``) wraps it by name; once
+        that pass stops wrapping it, it can go.
         """
         self._interval_sources.pop(interval.start, None)
         self._wgn_streams.pop(interval.start, None)

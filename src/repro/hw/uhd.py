@@ -42,6 +42,17 @@ from repro.telemetry.tracer import CAT_DRIVER, NULL_TRACER, Tracer
 DEFAULT_MAX_RETRIES = 8
 
 
+def _coefficient_words(coeffs_i, coeffs_q) -> tuple[list[int], list[int]]:
+    """Pack the I and Q 3-bit coefficient banks into their register words."""
+    if len(coeffs_i) != regmap.CORRELATOR_LENGTH \
+            or len(coeffs_q) != regmap.CORRELATOR_LENGTH:
+        raise ConfigurationError(
+            f"expected {regmap.CORRELATOR_LENGTH} coefficients per bank"
+        )
+    return (pack_signed_fields([int(c) for c in coeffs_i], regmap.COEFF_BITS),
+            pack_signed_fields([int(c) for c in coeffs_q], regmap.COEFF_BITS))
+
+
 @dataclass
 class DriverHealth:
     """Control-plane health counters kept by the hardened driver.
@@ -194,14 +205,7 @@ class UhdDriver:
     def set_correlator_coefficients(self, coeffs_i: np.ndarray,
                                     coeffs_q: np.ndarray) -> None:
         """Ship 3-bit signed coefficient banks over the register bus."""
-        words_i = pack_signed_fields([int(c) for c in coeffs_i],
-                                     regmap.COEFF_BITS)
-        words_q = pack_signed_fields([int(c) for c in coeffs_q],
-                                     regmap.COEFF_BITS)
-        if len(words_i) != regmap.COEFF_WORDS or len(words_q) != regmap.COEFF_WORDS:
-            raise ConfigurationError(
-                f"expected {regmap.CORRELATOR_LENGTH} coefficients per bank"
-            )
+        words_i, words_q = _coefficient_words(coeffs_i, coeffs_q)
         for offset, word in enumerate(words_i):
             self._write(regmap.REG_COEFF_I_BASE + offset, word)
         for offset, word in enumerate(words_q):
@@ -233,15 +237,7 @@ class UhdDriver:
 
     def _write_bank_coefficients(self, index: int, coeffs_i: np.ndarray,
                                  coeffs_q: np.ndarray) -> None:
-        words_i = pack_signed_fields([int(c) for c in coeffs_i],
-                                     regmap.COEFF_BITS)
-        words_q = pack_signed_fields([int(c) for c in coeffs_q],
-                                     regmap.COEFF_BITS)
-        if len(words_i) != regmap.COEFF_WORDS \
-                or len(words_q) != regmap.COEFF_WORDS:
-            raise ConfigurationError(
-                f"expected {regmap.CORRELATOR_LENGTH} coefficients per bank"
-            )
+        words_i, words_q = _coefficient_words(coeffs_i, coeffs_q)
         self._write(regmap.REG_BANK_SELECT, index)
         for offset, word in enumerate(words_i):
             self._write(regmap.REG_BANK_COEFF_I_BASE + offset, word)
@@ -286,14 +282,25 @@ class UhdDriver:
                              labels=None) -> None:
         """Program K protocol banks and enable stacked detection.
 
+        Each complex template is quantized to its 3-bit I and Q banks
+        and programmed by :meth:`set_quantized_banks`.
+        """
+        self.set_quantized_banks(
+            [quantize_coefficients(template) for template in templates],
+            thresholds, labels=labels)
+
+    def set_quantized_banks(self, banks, thresholds, labels=None) -> None:
+        """Program K banks of 3-bit ``(coeffs_i, coeffs_q)`` pairs and
+        enable stacked detection.
+
         Atomic in the same sense as :meth:`set_trigger_stages`: the
         bank count is parked at 0 first, then every per-bank threshold
         and coefficient word is shipped (verified), and only then does
         the final count write arm the stacked correlator — no chunk
         can ever be processed against a partially-programmed bank set.
         """
-        templates = list(templates)
-        count = len(templates)
+        banks = list(banks)
+        count = len(banks)
         if not 1 <= count <= regmap.MAX_BANKS:
             raise ConfigurationError(
                 f"bank count must be 1..{regmap.MAX_BANKS}, got {count}"
@@ -313,8 +320,7 @@ class UhdDriver:
                 self.device.core.set_bank_label(index, label)
         for index, threshold in enumerate(thresholds):
             self.set_bank_threshold(index, threshold)
-        for index, template in enumerate(templates):
-            coeffs_i, coeffs_q = quantize_coefficients(template)
+        for index, (coeffs_i, coeffs_q) in enumerate(banks):
             self._write_bank_coefficients(index, coeffs_i, coeffs_q)
         self._write(regmap.REG_BANK_COUNT, count)
 

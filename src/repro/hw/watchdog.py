@@ -128,10 +128,12 @@ class Watchdog:
         return self._busy_samples(now) / self.config.duty_window_samples
 
     def admit_interval(self, start: int, end: int) -> bool:
-        """Admit or veto one scheduled jam burst.
+        """Admit or veto the jam burst ``[start, end)``.
 
-        Admitted spans are recorded against the budget; vetoed bursts
-        leave no trace beyond the trip record.
+        The transmit controller's ``schedule`` asks this before it
+        commits a burst.  Admitted spans are recorded against the
+        budget; a vetoed burst never occupies the pipeline and leaves
+        only its trip record, so every vetoed trigger is one trip.
         """
         self._prune(start)
         if self.config.max_duty_cycle >= 1.0:

@@ -85,13 +85,18 @@ def one_blas_thread() -> Iterator[int | None]:
 
     Yields the thread count in effect, ``1``, or ``None`` where no copy
     has a setter (then nothing changes).  Each copy gets its own count
-    back on every exit, exceptions included.
+    back on every exit, exceptions included.  Where every copy already
+    runs one thread, as in a process forked inside this block, no
+    setter is called, so there is nothing to restore.
     """
     libraries = blas_libraries()
     if not libraries:
         yield None
         return
     saved = [library.get_threads() for library in libraries]
+    if saved == [1] * len(libraries):
+        yield 1
+        return
     for library in libraries:
         library.set_threads(1)
     try:

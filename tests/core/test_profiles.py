@@ -23,6 +23,7 @@ from repro.core.profiles import (
     snapshot_profile,
 )
 from repro.errors import ConfigurationError
+from repro.hw import register_map as regmap
 from repro.hw.trigger import TriggerMode, TriggerSource
 from repro.hw.tx_controller import JamWaveform
 from repro.hw.uhd import UhdDriver
@@ -99,7 +100,36 @@ def _banked_jammer() -> ReactiveJammer:
     return jammer
 
 
+def _recorded_writes(bus) -> list[tuple[int, int]]:
+    """Record every ``(address, value)`` written to ``bus`` from now on."""
+    writes: list[tuple[int, int]] = []
+    write = bus.write
+
+    def recording(address: int, value: int) -> None:
+        writes.append((address, value))
+        write(address, value)
+
+    bus.write = recording
+    return writes
+
+
 class TestBankRoundTrip:
+    def test_restoring_banks_writes_what_programming_them_wrote(self):
+        """One path from banks to the bus: restoring a snapshot's banks
+        writes the words ``set_correlator_banks`` wrote, in its order."""
+        device, fresh = UsrpN210(), UsrpN210()
+        programmed = _recorded_writes(device.bus)
+        restored = _recorded_writes(fresh.bus)
+        UhdDriver(device).set_correlator_banks(
+            [wifi_short_preamble_template(), dsss_preamble_template()],
+            [12_000, 13_000], labels=["wifi", "dsss"])
+        apply_profile(fresh, snapshot_profile(device))
+        counts = [index for index, (address, _value) in enumerate(restored)
+                  if address == regmap.REG_BANK_COUNT]
+        assert programmed[0] == (regmap.REG_BANK_COUNT, 0)
+        assert programmed[-1] == (regmap.REG_BANK_COUNT, 2)
+        assert restored[counts[0]:counts[-1] + 1] == programmed
+
     def test_banks_restore_onto_a_fresh_device(self, rng):
         from repro.channel.awgn import awgn
         from repro.dsp.resample import resample

@@ -30,6 +30,7 @@ from repro.experiments.timelines import jamming_timelines, measure_response_time
 from repro.experiments.wifi_jamming import WifiJammingTestbed
 from repro.experiments.wimax_jamming import run_experiment
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
+from repro.hw.energy_differentiator import DEFAULT_DELAY, EnergyDifferentiator
 from tests.experiments import oracles
 from tests.experiments.oracles import (
     energy_trial_looped,
@@ -257,6 +258,52 @@ class TestBatchedTrialIdentity:
             last = bool(trig[-1])
             remaining -= n
         assert batched == triggers / duration_s
+
+
+class TestEnergyTrialState:
+    """The detector state ``_energy_trial`` carries from row to row.
+
+    Fig. 8's counts read columns past the 512-sample guard, long after
+    the detector's 96 samples of state, so they cannot tell whether
+    the rows were chained.  The trigger rows can: they must be what one
+    fresh detector writes over ``[warm-up | frame row 0 at its valid
+    length | frame row 1 | ...]``, split back per row.
+    """
+
+    def test_rows_stream_through_one_detector(self, monkeypatch):
+        # Ragged arrivals, as in test_ragged_arrivals_match_looped, so
+        # a frame row's valid length is not always the plane's width.
+        arrivals = detection._frame_arrivals("full", 77)
+        ragged = tuple(arrival[:arrival.size - cut]
+                       for arrival, cut in zip(arrivals, (0, 1, 3, 2)))
+        monkeypatch.setattr(detection, "_frame_arrivals",
+                            lambda kind, seed: ragged)
+        written = []
+
+        class Recording(EnergyDifferentiator):
+            def detect(self, samples, out=None):
+                out = super().detect(samples, out)
+                written.append(out.copy())
+                return out
+
+        monkeypatch.setattr(detection, "EnergyDifferentiator", Recording)
+        spec = _CurveTrialSpec(frame_kind="full", snr_db=3.0,
+                               n_frames=20, frame_seed=77,
+                               energy_threshold_db=10.0)
+        _energy_trial(spec, np.random.default_rng(5))
+
+        warmup = 4 * DEFAULT_DELAY
+        rows, lengths = detection._trial_rows(
+            spec, np.random.default_rng(5), warmup, start=0)
+        sizes = [warmup, *(detection.GUARD_SAMPLES + lengths).tolist()]
+        assert len(set(sizes[1:])) > 1
+        stream = np.concatenate([row[:size]
+                                 for row, size in zip(rows, sizes)])
+        oracle = EnergyDifferentiator(10.0, 10.0).detect(stream)
+        expected = np.split(oracle, np.cumsum(sizes)[:-1], axis=1)
+        assert len(written) == len(expected)
+        for got, want in zip(written, expected):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDetectionCurves:

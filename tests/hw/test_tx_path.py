@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.coeffs import wifi_short_preamble_template
 from repro.core.detection import DetectionConfig
 from repro.core.events import JammingEventBuilder
 from repro.core.jammer import DegradationPolicy, ReactiveJammer
@@ -23,9 +24,10 @@ from repro.core.presets import JammerPersonality, continuous_jammer
 from repro.dsp.fixed_point import quantize_iq16
 from repro.errors import StreamError
 from repro.hw.dsp_core import CustomDspCore
+from repro.hw.trigger import TriggerSource
 from repro.hw.tx_controller import JamWaveform
 from repro.hw.usrp import UsrpN210
-from repro.hw.watchdog import Watchdog, WatchdogConfig
+from repro.hw.watchdog import TRIP_DUTY_CYCLE, Watchdog, WatchdogConfig
 
 N = 3000
 #: Burst length: longer than most chunks a split draws.
@@ -65,6 +67,26 @@ def _jammer(waveform: JamWaveform = JamWaveform.WGN, *,
     tx = jammer.device.core.tx
     tx.amplitude = AMPLITUDE
     tx.set_host_waveform(HOST)
+    return jammer
+
+
+def _preamble_capture(n: int, starts) -> np.ndarray:
+    """Faint noise with the short-preamble template added at ``starts``."""
+    rng = np.random.default_rng(5)
+    rx = 1e-6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    template = wifi_short_preamble_template()
+    for start in starts:
+        rx[start:start + template.size] += template
+    return rx
+
+
+def _preamble_jammer(personality: JammerPersonality,
+                     watchdog: Watchdog | None = None) -> ReactiveJammer:
+    """A jammer whose one trigger is the short-preamble correlator."""
+    jammer = ReactiveJammer(watchdog=watchdog)
+    jammer.configure(DetectionConfig(template=wifi_short_preamble_template(),
+                                     xcorr_threshold=20_000),
+                     JammingEventBuilder().on_correlation(), personality)
     return jammer
 
 
@@ -204,6 +226,102 @@ class TestOracle:
         chunked = np.concatenate([device.process(rx[start:start + 256]).tx
                                   for start in range(0, N, 256)])
         _assert_bytes_equal(chunked, reference)
+
+
+def _guarded_jammer(waveform: JamWaveform = JamWaveform.WGN
+                    ) -> ReactiveJammer:
+    """400-sample bursts under a duty guard of 0.5 over 1000 samples."""
+    return _preamble_jammer(
+        JammerPersonality(name="guarded", uptime_samples=400,
+                          waveform=waveform),
+        Watchdog(WatchdogConfig(max_duty_cycle=0.5,
+                                duty_window_samples=1000)))
+
+
+def _decisions(jammer: ReactiveJammer, jams):
+    """The committed bursts and the watchdog's trips, as tuples."""
+    return ([(jam.trigger_time, jam.start, jam.end) for jam in jams],
+            [(trip.time, trip.reason)
+             for trip in jammer.device.core.watchdog.trips])
+
+
+class TestDutyGuardDecision:
+    """The duty guard judges each trigger the pipeline is free for,
+    once and in time order, before the controller commits it.
+
+    Preambles at 0, 1000 and 1300 trigger at 63, 1063 and 1363.  The
+    burst [65, 465) is admitted.  [1065, 1465) would make the window
+    ending at 1065 80% busy, so it is vetoed and never occupies the
+    pipeline.  The trigger at 1363 finds the pipeline free, and
+    [1365, 1765) keeps the window ending at 1365 at the 50% budget.
+    However the stream is cut, that is the outcome.
+    """
+
+    RX = _preamble_capture(N, (0, 1000, 1300))
+    DECIDED = ([(63, 65, 465), (1363, 1365, 1765)],
+               [(1065, TRIP_DUTY_CYCLE)])
+
+    @pytest.mark.parametrize("chunk", [N, 1150, 64])
+    def test_chunk_size_changes_no_decision(self, chunk):
+        jammer = _guarded_jammer()
+        report = jammer.run(self.RX, chunk_size=chunk)
+        assert _decisions(jammer, report.jams) == self.DECIDED
+
+    @given(split=splits)
+    @settings(max_examples=25, deadline=None)
+    def test_any_split_changes_no_decision(self, split):
+        jammer = _guarded_jammer()
+        _tx, jams, _spans = _run_split(jammer, self.RX, split)
+        assert _decisions(jammer, jams) == self.DECIDED
+
+    @pytest.mark.parametrize("chunk", [N, 64])
+    def test_a_veto_takes_no_replay_snapshot(self, monkeypatch, chunk):
+        jammer = _guarded_jammer(JamWaveform.REPLAY)
+        tx = jammer.device.core.tx
+        snapshots = []
+        capture = tx._capture_replay
+
+        def counted(rx_chunk, local):
+            snapshots.append(local)
+            return capture(rx_chunk, local)
+
+        monkeypatch.setattr(tx, "_capture_replay", counted)
+        report = jammer.run(self.RX, chunk_size=chunk)
+        assert _decisions(jammer, report.jams) == self.DECIDED
+        assert len(snapshots) == len(report.jams)
+
+
+class TestContinuousIgnoresTriggers:
+    """An always-on jammer commits no triggered burst: the report lists
+    none, and the duty guard judges none.  Preambles at 1000 and 4000
+    fire the correlator and change nothing on the transmit side."""
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_triggers_change_nothing(self, guarded):
+        def run(starts):
+            watchdog = Watchdog(WatchdogConfig(
+                max_duty_cycle=0.5, duty_window_samples=2000)) \
+                if guarded else None
+            jammer = _preamble_jammer(continuous_jammer(), watchdog)
+            report = jammer.run(_preamble_capture(6000, starts),
+                                chunk_size=1000)
+            return jammer, report
+
+        jammer, report = run((1000, 4000))
+        quiet = run(())[1]
+        assert report.detections_by_source(TriggerSource.XCORR)
+        assert not quiet.detections_by_source(TriggerSource.XCORR)
+        assert report.jams == []
+        assert jammer.driver.jam_count() == 0
+        _assert_bytes_equal(report.tx, quiet.tx)
+        assert report.health.watchdog_trips == quiet.health.watchdog_trips
+        if guarded:
+            # Only the continuous stream's throttles.
+            assert len(report.health.watchdog_trips) == 4
+            assert all(trip.detail.startswith("continuous")
+                       for trip in report.health.watchdog_trips)
+        else:
+            assert np.count_nonzero(report.tx) == report.tx.size
 
 
 class _DrawCounter:

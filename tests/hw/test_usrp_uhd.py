@@ -238,6 +238,21 @@ class TestControlPlaneRegressions:
             driver.set_replay_length(513)
         driver.set_replay_length(512)  # the exact maximum is legal
 
+    @pytest.mark.parametrize("length", [61, 63, 65, 70])
+    def test_bank_of_the_wrong_length_rejected(self, rig, length):
+        """A bank that packs into the same seven words is still the
+        wrong length: 61 coefficients would load zero-padded, 70
+        truncated."""
+        device, driver = rig
+        coeffs = np.ones(length, dtype=np.int64)
+        writes = device.bus.write_count
+        with pytest.raises(ConfigurationError):
+            driver.set_correlator_coefficients(coeffs, coeffs)
+        assert device.bus.write_count == writes
+        with pytest.raises(ConfigurationError):
+            driver.set_quantized_banks([(coeffs, coeffs)], [30_000])
+        assert device.core.bank_count == 0  # parked, never armed
+
     def test_oversized_wgn_seed_rejected_not_masked(self, rig):
         device, driver = rig
         with pytest.raises(ConfigurationError):

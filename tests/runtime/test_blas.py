@@ -39,6 +39,15 @@ def _report_os_threads(point, rng: np.random.Generator
     return len(os.listdir("/proc/self/task")), _real_threads()
 
 
+def _reenter(conn) -> None:
+    """Child body: OS threads before and inside a nested block."""
+    before = len(os.listdir("/proc/self/task"))
+    with blas.one_blas_thread():
+        inside = len(os.listdir("/proc/self/task"))
+    conn.send((before, inside))
+    conn.close()
+
+
 def _fail(point, rng: np.random.Generator) -> None:
     raise RuntimeError("trial failed")
 
@@ -66,6 +75,26 @@ class TestOneBlasThread:
         with pytest.raises(KeyError):
             with blas.one_blas_thread():
                 raise KeyError("boom")
+        assert _real_threads() == two_threads
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no /proc/self/task to count OS threads")
+    @pytest.mark.skipif(_pool_context().get_start_method() != "fork",
+                        reason="no fork context to start a child")
+    def test_forked_child_reenters_without_a_setter(self, two_threads):
+        """A child forked inside the block enters it again on one OS
+        thread: at the inherited count of one, a setter call would
+        restart OpenBLAS's pool in the child."""
+        context = _pool_context()
+        reader, writer = context.Pipe(duplex=False)
+        with blas.one_blas_thread():
+            child = context.Process(target=_reenter, args=(writer,))
+            child.start()
+        writer.close()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        before, inside = reader.recv()
+        assert inside == before
         assert _real_threads() == two_threads
 
 
