@@ -76,6 +76,8 @@ class HealthReport:
     driver: dict[str, int] = field(default_factory=dict)
     #: Register addresses repaired by scrub passes during the run.
     scrub_repairs: list[int] = field(default_factory=list)
+    #: Watchdog trips since the previous report: the run's own, and
+    #: any a register write recorded between runs.
     watchdog_trips: list[WatchdogTrip] = field(default_factory=list)
     #: Telemetry metrics snapshot (empty without a telemetry bundle).
     metrics: dict = field(default_factory=dict)
@@ -387,7 +389,7 @@ class ReactiveJammer:
         health.driver = self.driver.health.snapshot()
         watchdog = self.device.core.watchdog
         if watchdog is not None:
-            health.watchdog_trips = list(watchdog.trips)
+            health.watchdog_trips = watchdog.report_trips()
         if tel is not None:
             self._record_run_metrics(tel, health, detections, jams,
                                      rx_signal.size, run_start_ns)

@@ -105,7 +105,8 @@ def quantize(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
     return fmt.to_float(fmt.to_int(values))
 
 
-def quantize_iq16(values: np.ndarray) -> np.ndarray:
+def quantize_iq16(values: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Quantize complex baseband to the N210's 16-bit I/Q format.
 
     Byte-identical to ``quantize(values, IQ16)`` for every finite
@@ -115,13 +116,27 @@ def quantize_iq16(values: np.ndarray) -> np.ndarray:
     adding +0.0 turns a rounded -0.0 into +0.0 as the integer round
     trip of :func:`quantize` does.  +-inf saturate to full scale.
 
+    ``out``, a C-contiguous complex128 array of the values' shape that
+    does not overlap them, receives the codes when given and is
+    returned; without it the codes are new storage.  The USRP model
+    passes its reused baseband buffer, so a steady chunk loop
+    allocates nothing chunk-sized; what a later chunk must still see
+    (a correlator tail, the replay capture) its block copies.
+
     Raises:
         StreamError: if any component is NaN; such a sample has no
             16-bit code, and passed on it would poison the energy
-            detector's carried sums for every later chunk.
+            detector's carried sums for every later chunk, or if
+            ``out`` does not fit.
     """
     values = np.asarray(values)
-    out = np.empty(values.shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
+    elif (out.shape != values.shape or out.dtype != np.complex128
+          or not out.flags.c_contiguous):
+        raise StreamError(
+            f"out must be a C-contiguous complex128 array of shape "
+            f"{values.shape}")
     flat = out.reshape(-1).view(np.float64)
     if values.dtype == np.complex128 and values.flags.c_contiguous:
         np.multiply(values.reshape(-1).view(np.float64), _IQ16_SCALE,

@@ -192,6 +192,7 @@ def run_scenario(scenario: ChaosScenario) -> ChaosResult:
     chunks_processed = 0
     chunks_skipped = 0
     scrub_repairs: list[int] = []
+    watchdog_trips: list[WatchdogTrip] = []
     last_health = None
 
     for index in range(scenario.n_frames):
@@ -232,6 +233,7 @@ def run_scenario(scenario: ChaosScenario) -> ChaosResult:
         chunks_processed += report.health.chunks_processed
         chunks_skipped += report.health.chunks_skipped
         scrub_repairs.extend(report.health.scrub_repairs)
+        watchdog_trips.extend(report.health.watchdog_trips)
         last_health = report.health
 
     return ChaosResult(
@@ -247,8 +249,7 @@ def run_scenario(scenario: ChaosScenario) -> ChaosResult:
         stream_faults_injected=len(injector.fault_log),
         scrub_repairs=scrub_repairs,
         driver_health=dict(last_health.driver) if last_health else {},
-        watchdog_trips=list(last_health.watchdog_trips)
-        if last_health else [],
+        watchdog_trips=watchdog_trips,
     )
 
 

@@ -74,7 +74,8 @@ class DigitalDownConverter:
             raise StreamError("cannot skip a negative number of samples")
         self._sample_clock += n
 
-    def process(self, samples: np.ndarray) -> np.ndarray:
+    def process(self, samples: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
         """Apply impairments, gain, filtering, 16-bit quantization.
 
         At unity gain the multiply is skipped: on finite samples it
@@ -82,6 +83,10 @@ class DigitalDownConverter:
         quantizer folds to +0.0 anyway.  The CFO clock advances only
         once the chunk is quantized, so a chunk the quantizer rejects
         (a NaN sample) leaves it for :meth:`skip`.
+
+        ``out``, a complex128 buffer of the chunk's length, receives
+        the IQ16 baseband when given (see
+        :func:`repro.dsp.fixed_point.quantize_iq16`) and is returned.
         """
         samples = np.asarray(samples, dtype=np.complex128)
         if samples.ndim != 1:
@@ -92,6 +97,6 @@ class DigitalDownConverter:
             samples = samples * self._rx_gain
         if self._filter is not None:
             samples = self._filter.process(samples)
-        baseband = quantize_iq16(samples)
+        baseband = quantize_iq16(samples, out=out)
         self._sample_clock += baseband.size
         return baseband

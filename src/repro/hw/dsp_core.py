@@ -43,7 +43,7 @@ from repro.hw.trigger import (
 )
 from repro.hw.tx_controller import JamEvent, JamWaveform, TransmitController
 from repro.kernels import edge_mask
-from repro.runtime.buffers import ScratchBuffer
+from repro.runtime.buffers import PlanCache, ScratchBuffer
 
 # Trigger sources bound once: the per-chunk event builder tags every
 # edge with one of them.
@@ -118,6 +118,7 @@ class CustomDspCore:
         self._protocol_counters: dict[str, object] = {}
         self.energy = EnergyDifferentiator()
         self.fsm = TriggerStateMachine([TriggerSource.ENERGY_HIGH])
+        self.fsm.watchdog = watchdog
         self.tx = TransmitController()
         #: Telemetry probe; the null tracer by default (see
         #: :mod:`repro.telemetry` — opt-in observability).
@@ -129,9 +130,10 @@ class CustomDspCore:
         # across a bank-count switch (``_set_bank_count``).
         self._legacy_carry = np.zeros(3, dtype=bool)
         self._banked_carry = np.zeros(3, dtype=bool)
-        # The (K + 2, n) trigger plane and its edge mask, reused.
-        self._trigger_scratch = ScratchBuffer(np.bool_)
-        self._edge_scratch = ScratchBuffer(np.bool_)
+        # The (K + 2, n) trigger plane and its edge mask share one
+        # scratch; a plan per (chunk length, bank set) holds the views.
+        self._planes = ScratchBuffer(np.bool_)
+        self._plans = PlanCache(self._plan, self._planes)
         self._active_intervals: list[JamEvent] = []
         self._continuous_since: int | None = None
         self.detection_counts = {source: 0 for source in TriggerSource}
@@ -336,6 +338,7 @@ class CustomDspCore:
         self.fsm = TriggerStateMachine(stages or [TriggerSource.ENERGY_HIGH],
                                        window_samples=window, mode=mode)
         self.fsm.tracer = self._tracer
+        self.fsm.watchdog = self.watchdog
 
     def _set_trigger_window(self, value: int) -> None:
         self.fsm.window_samples = value
@@ -488,6 +491,12 @@ class CustomDspCore:
         ``tx_out``, a zero-filled complex128 buffer of the chunk's
         length, is where the transmit waveform is written; it comes
         back as ``CoreOutput.tx``.  Without it the core allocates one.
+
+        The trigger and edge planes are the views of the plan for the
+        chunk's length and bank set, built on its first chunk.  With a
+        watchdog, a stale FSM arm is reset at the sample its re-arm
+        timeout elapses (the FSM asks before each event it takes while
+        armed; the core asks at the chunk's last sample).
         """
         if quantized:
             rx_chunk = np.asarray(rx_chunk)
@@ -506,9 +515,6 @@ class CustomDspCore:
             return CoreOutput(tx=tx_out)
         samples = rx_chunk if quantized else quantize_iq16(rx_chunk)
 
-        if self.watchdog is not None:
-            self.watchdog.check_rearm(self.fsm, chunk_start)
-
         # REG_BANK_COUNT picks the register file whose correlator runs.
         # Its K trigger rows and the energy differentiator's two fill
         # one plane, whose edges are taken once against that
@@ -520,20 +526,23 @@ class CustomDspCore:
         else:
             correlator, protocols = self._correlator, _LEGACY_PROTOCOLS
             carry = self._legacy_carry
-        rows = carry.size
-        k = rows - 2
-        triggers = self._trigger_scratch.view(rows * n).reshape(rows, n)
-        correlator.detect(samples, triggers[:k])
-        self.energy.detect(samples, triggers[k:])
-        edges = edge_mask(triggers, carry,
-                          out=self._edge_scratch.view(rows * n)
-                          .reshape(rows, n))
-        carry[:] = triggers[:, -1]
+        plan = self._plans.get((n, protocols))
+        correlator.detect(samples, plan.correlator_rows)
+        self.energy.detect(samples, plan.energy_rows)
+        edge_mask(plan.triggers, carry, out=plan.edges)
+        carry[...] = plan.last
 
-        detections = self._events(chunk_start, edges, protocols)
-        jam_times = self.fsm.process_events(
-            [(event.time, event.source) for event in detections]
-        )
+        detections = self._events(chunk_start, plan)
+        jam_times: list[int] = []
+        if detections:
+            jam_times = self.fsm.process_events(
+                [(event.time, event.source) for event in detections])
+        # The watchdog's re-arm timeout applies at the sample it
+        # elapses: the FSM asks before each event it takes while
+        # armed, and here at the chunk's last sample.
+        watchdog = self.watchdog
+        if watchdog is not None:
+            watchdog.check_rearm(self.fsm, chunk_start + n - 1)
 
         jams: list[JamEvent] = []
         if jam_times and self._tx_allowed and not self.continuous:
@@ -542,8 +551,8 @@ class CustomDspCore:
             # free for before the controller commits it.  Replay
             # snapshots take the chunk up to their trigger; the capture
             # sees the whole chunk once, after scheduling.
-            admit = (self.watchdog.admit_interval
-                     if self.watchdog is not None else None)
+            admit = (watchdog.admit_interval
+                     if watchdog is not None else None)
             jams = self.tx.schedule(jam_times, samples, chunk_start, admit)
         self.tx.observe_rx(samples)
         self.jam_count += len(jams)
@@ -578,23 +587,26 @@ class CustomDspCore:
         self._banked_carry[:] = False
         self._retire_intervals()
 
-    def _events(self, chunk_start: int, edges: np.ndarray,
-                protocols) -> list[DetectionEvent]:
+    def _plan(self, key: tuple[int, tuple]) -> _ChunkPlan:
+        n, protocols = key
+        return _ChunkPlan(self._planes, n, protocols)
+
+    def _events(self, chunk_start: int,
+                plan: _ChunkPlan) -> list[DetectionEvent]:
         """The chunk's detection events from its ``(K + 2, n)`` edge mask.
 
-        Rows are banks ``0..K-1`` (``protocols`` names them; ``None``
+        Rows are banks ``0..K-1`` (the plan's labels name them; ``None``
         for the legacy correlator), then energy high, then energy low.
         Sorting the hits by (time, row) therefore orders events by
         time, then source, then bank, so coincident multi-protocol hits
         come out in bank order.
         """
-        (hits,) = edges.ravel().nonzero()
+        (hits,) = plan.flat_edges.nonzero()
         if not hits.size:
             # The common chunk: no edges, no objects built at all.
             return []
-        n = edges.shape[1]
-        sources = (_XCORR,) * len(protocols) + (_ENERGY_HIGH, _ENERGY_LOW)
-        labels = tuple(protocols) + (None, None)
+        n = plan.n
+        sources, labels = plan.sources, plan.labels
         counts = self.detection_counts
         events = []
         order = [(flat % n, flat // n) for flat in hits.tolist()]
@@ -654,10 +666,44 @@ class CustomDspCore:
             self.tx.synthesize(interval, chunk_start, n, out=tx)
 
     def _retire_intervals(self) -> None:
+        """Release the bursts that ended by the clock.
+
+        The active list is rebuilt only when one of them ended.
+        """
+        clock = self._clock
+        for interval in self._active_intervals:
+            if interval.end <= clock:
+                break
+        else:
+            return
         still_active: list[JamEvent] = []
         for interval in self._active_intervals:
-            if interval.end <= self._clock:
+            if interval.end <= clock:
                 self.tx.release_interval(interval)
             else:
                 still_active.append(interval)
         self._active_intervals = still_active
+
+
+class _ChunkPlan:
+    """The views one chunk length and bank set need, into the core's
+    scratch: the ``(K + 2, n)`` trigger plane with its correlator and
+    energy rows and its last column, the edge plane and its flat view,
+    and the source and label of each row."""
+
+    __slots__ = ("n", "triggers", "correlator_rows", "energy_rows", "last",
+                 "edges", "flat_edges", "sources", "labels")
+
+    def __init__(self, planes: ScratchBuffer, n: int,
+                 protocols: tuple) -> None:
+        k = len(protocols)
+        both = planes.view(2 * (k + 2) * n).reshape(2, k + 2, n)
+        self.n = n
+        self.triggers = both[0]
+        self.correlator_rows = both[0, :k]
+        self.energy_rows = both[0, k:]
+        self.last = both[0, :, -1]
+        self.edges = both[1]
+        self.flat_edges = both[1].reshape(-1)
+        self.sources = (_XCORR,) * k + (_ENERGY_HIGH, _ENERGY_LOW)
+        self.labels = tuple(protocols) + (None, None)

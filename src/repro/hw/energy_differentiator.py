@@ -20,6 +20,11 @@ paper's fixed-point block, while one cumulative sum over the
 longer chunk runs in pieces that stay within that bound, so chunked
 sums equal single-shot sums for every chunking.
 
+The facade's buffers are views into one grow-only scratch, planned
+once per chunk length (:class:`repro.runtime.buffers.PlanCache`): a
+steady chunk makes its ufunc calls and its tail copies and nothing
+else.
+
 :meth:`EnergyDifferentiator.detect` writes the two trigger rows of
 the DSP core's stacked trigger plane; rising edges and their carries
 belong to the core.
@@ -32,7 +37,7 @@ import numpy as np
 from repro import units
 from repro.errors import ConfigurationError, StreamError
 from repro.kernels import EXACT_SUM_LENGTH, energies, moving_sums
-from repro.runtime.buffers import ScratchBuffer
+from repro.runtime.buffers import PlanCache, ScratchBuffer
 
 #: Moving-sum window length in samples (paper's implementation).
 DEFAULT_WINDOW = 32
@@ -68,10 +73,11 @@ class EnergyDifferentiator:
         # the last `delay` sums (for the comparison delay line).
         self._energy_tail = np.zeros(window, dtype=np.float64)
         self._sum_tail = np.zeros(delay, dtype=np.float64)
-        # One reusable buffer holds a call's [tail | sums] delay line
-        # and the work space behind it: the [tail | energies] plane,
-        # cumulated in place, then the Q*Q term of the energies.
+        # One reusable buffer holds a call's work space and its
+        # [sum_tail | sums] delay line; a plan per chunk length holds
+        # the views into it (see `_EnergyPlan`).
         self._scratch = ScratchBuffer(np.float64)
+        self._plans = PlanCache(self._plan, self._scratch)
 
     @staticmethod
     def _check_threshold(value_db: float) -> float:  # repro-lint: disable=RJ003 (host-side dB validation, not datapath)
@@ -124,42 +130,26 @@ class EnergyDifferentiator:
             raise StreamError("EnergyDifferentiator expects a 1-D chunk")
         return samples
 
-    def _work(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``[sum_tail | sums]`` delay line and the sums' work space.
+    def _plan(self, n: int) -> _EnergyPlan:
+        return _EnergyPlan(self._scratch, n, self._window, self._delay,
+                           EXACT_SUM_LENGTH - self._window)
 
-        The work space holds one piece's ``[tail | energies]`` plane
-        and its ``Q*Q`` term, where a piece is at most the
-        ``EXACT_SUM_LENGTH - window`` samples one exact cumulative sum
-        holds, and then the chunk's scaled compare operand.
+    def _advance(self, samples: np.ndarray, plan: _EnergyPlan) -> None:
+        """Advance the moving sum over a non-empty chunk into ``plan.sums``.
+
+        Each piece's energies are written straight into its ``[tail |
+        piece]`` plane and summed in place; the energy tail carries
+        from piece to piece and from chunk to chunk.
         """
-        delay = self._delay
-        piece = min(n, EXACT_SUM_LENGTH - self._window)
-        scratch = self._scratch.view(2 * n + delay + self._window + piece)
-        return scratch[:delay + n], scratch[delay + n:]
-
-    def _moving_sums(self, samples: np.ndarray, out: np.ndarray,
-                     work: np.ndarray) -> np.ndarray:
-        """Advance the moving sum over a non-empty chunk into ``out``.
-
-        A chunk longer than one exact cumulative sum holds (``window +
-        n`` over :data:`EXACT_SUM_LENGTH`) runs in pieces that each
-        stay within it.  Each piece's energies are written straight
-        into the ``[tail | piece]`` plane in ``work`` and summed in
-        place.
-        """
+        energy_tail = self._energy_tail
         window = self._window
-        piece = EXACT_SUM_LENGTH - window
-        for begin in range(0, samples.size, piece):
-            chunk = samples[begin:begin + piece]
-            n = chunk.size
-            padded = work[:window + n]
-            padded[:window] = self._energy_tail
-            energies(chunk, padded[window:], work[window + n:window + 2 * n])
+        for part, padded, head, energy, qq, tail, sums in plan.pieces:
+            head[...] = energy_tail
+            energies(samples if part is None else samples[part], energy, qq)
             # New tail = last `window` entries of [tail | energy], taken
             # before the cumulative sum overwrites the plane.
-            self._energy_tail[:] = padded[n:]
-            moving_sums(padded, window, out[begin:begin + n])
-        return out
+            energy_tail[...] = tail
+            moving_sums(padded, window, sums)
 
     def energy_sums(self, samples: np.ndarray) -> np.ndarray:
         """The moving energy sum per incoming sample (consumes input)."""
@@ -167,7 +157,9 @@ class EnergyDifferentiator:
         n = samples.size
         if n == 0:
             return np.zeros(0, dtype=np.float64)
-        return self._moving_sums(samples, np.empty(n), self._work(n)[1])
+        plan = self._plans.get(n)
+        self._advance(samples, plan)
+        return plan.sums.copy()
 
     def detect(self, samples: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
@@ -176,7 +168,9 @@ class EnergyDifferentiator:
         Row 0 is trigger high, ``y[n] > y[n - D] * T_high``; row 1 is
         trigger low, ``y[n] * T_low < y[n - D]``.  The rows are written
         into ``out`` when given — the DSP core passes the energy rows
-        of its stacked trigger plane — and returned.
+        of its stacked trigger plane — and returned.  The delay line,
+        the energy plane and the compare operand are the views of the
+        plan for the chunk's length, built on its first chunk.
         """
         samples = self._checked(samples)
         n = samples.size
@@ -184,17 +178,55 @@ class EnergyDifferentiator:
             out = np.empty((2, n), dtype=bool)
         if n == 0:
             return out
+        plan = self._plans.get(n)
         # The sums land in the delay line right behind its carried
         # tail, so [sum_tail | sums] is assembled without a copy.
-        delay = self._delay
-        delay_line, work = self._work(n)
-        delay_line[:delay] = self._sum_tail
-        sums = self._moving_sums(samples, delay_line[delay:], work)
-        delayed = delay_line[:n]
-        scaled = work[:n]  # the spent plane holds each scaled operand
+        plan.line_head[...] = self._sum_tail
+        self._advance(samples, plan)
+        delayed, sums, scaled = plan.delayed, plan.sums, plan.scaled
         np.multiply(delayed, self._threshold_high, out=scaled)
         np.greater(sums, scaled, out=out[0])
         np.multiply(sums, self._threshold_low, out=scaled)
         np.less(scaled, delayed, out=out[1])
-        self._sum_tail[:] = delay_line[n:]
+        self._sum_tail[...] = plan.line_tail
         return out
+
+
+class _EnergyPlan:
+    """The views one chunk length needs, into the facade's scratch.
+
+    The scratch holds ``[work | sum_tail | sums]``.  A chunk runs in
+    pieces of at most ``piece`` samples, the most one exact cumulative
+    sum holds with the window tail; a chunk that short is one piece.
+    Each piece's ``[tail | energies]`` plane and ``Q*Q`` term sit at
+    the start of the work space, so every piece of a given length
+    uses the same views, and its sums go to its span of the delay
+    line.  After the last piece the spent work space holds each
+    scaled compare operand.
+    """
+
+    __slots__ = ("pieces", "line_head", "sums", "delayed", "line_tail",
+                 "scaled")
+
+    def __init__(self, scratch: ScratchBuffer, n: int, window: int,
+                 delay: int, piece: int) -> None:
+        piece = min(n, piece)
+        work = max(window + 2 * piece, n)
+        buffer = scratch.view(work + delay + n)
+        line = buffer[work:]
+        self.line_head = line[:delay]
+        self.sums = line[delay:]
+        self.delayed = line[:n]
+        self.line_tail = line[n:]
+        self.scaled = buffer[:n]
+        pieces = []
+        for begin in range(0, n, piece):
+            m = min(piece, n - begin)
+            padded = buffer[:window + m]
+            pieces.append((
+                None if m == n else slice(begin, begin + m),
+                padded, padded[:window], padded[window:],
+                buffer[window + m:window + 2 * m], padded[m:],
+                self.sums[begin:begin + m],
+            ))
+        self.pieces = tuple(pieces)

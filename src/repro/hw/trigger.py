@@ -20,10 +20,14 @@ whose state only changes on events — walks the edges.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.telemetry.tracer import CAT_FSM, NULL_TRACER, Tracer
+
+if TYPE_CHECKING:
+    from repro.hw.watchdog import Watchdog
 
 
 class TriggerSource(enum.IntEnum):
@@ -59,15 +63,6 @@ class StageConfig:
     source: TriggerSource
 
 
-@dataclass
-class _FsmState:
-    """Mutable run-time state of the trigger machine."""
-
-    stage_index: int = 0
-    first_event_time: int = -1
-    history: list[int] = field(default_factory=list)
-
-
 class TriggerStateMachine:
     """Combines up to three detection events within a time window."""
 
@@ -91,9 +86,16 @@ class TriggerStateMachine:
         self._stages = normalized
         self._mode = TriggerMode(mode)
         self.window_samples = window_samples
-        self._state = _FsmState()
+        # Run-time state: stages matched so far, and the time of the
+        # first one.  A fire or an expiry resets it in place.
+        self._stage_index = 0
+        self._first_event_time = -1
         #: Telemetry probe for state transitions (null by default).
         self.tracer: Tracer = NULL_TRACER
+        #: The watchdog whose re-arm timeout the armed machine asks
+        #: about before each event it takes (the DSP core wires its
+        #: own; ``None`` leaves the machine unguarded).
+        self.watchdog: Watchdog | None = None
 
     @property
     def stages(self) -> list[StageConfig]:
@@ -131,13 +133,14 @@ class TriggerStateMachine:
         machine that has been armed implausibly long (e.g. because a
         corrupted window register made the expiry check unreachable).
         """
-        if self._state.stage_index == 0:
+        if self._stage_index == 0:
             return None
-        return self._state.first_event_time
+        return self._first_event_time
 
     def reset(self) -> None:
         """Return the machine to idle, discarding partial progress."""
-        self._state = _FsmState()
+        self._stage_index = 0
+        self._first_event_time = -1
 
     def process_events(self, events: list[tuple[int, TriggerSource]]) -> list[int]:
         """Feed time-ordered detection events; return jam-trigger times.
@@ -146,6 +149,11 @@ class TriggerStateMachine:
         non-decreasing time order (merged across sources by the core).
         Returns sample times at which the FSM completed and asserted
         the jam trigger.
+
+        Before each event the armed machine takes, its :attr:`watchdog`
+        (:meth:`repro.hw.watchdog.Watchdog.check_rearm`) may reset it,
+        so a stale arm is dropped at the sample its re-arm timeout
+        elapses, wherever the chunk boundaries fall.
         """
         jam_times: list[int] = []
         tracer = self.tracer if self.tracer.enabled else None
@@ -156,33 +164,33 @@ class TriggerStateMachine:
                 for time in fired:
                     tracer.instant("fsm.fire", CAT_FSM, time, mode="ANY")
             return fired
+        stages = self._stages
+        watchdog = self.watchdog
         for time, source in events:
-            state = self._state
+            if self._stage_index and watchdog is not None:
+                watchdog.check_rearm(self, time)
             # Expire a partially-matched window.
-            if (state.stage_index > 0
-                    and time - state.first_event_time > self._window):
+            if (self._stage_index
+                    and time - self._first_event_time > self._window):
                 if tracer is not None:
                     tracer.instant("fsm.expire", CAT_FSM, time,
-                                   armed_since=state.first_event_time,
-                                   stage=state.stage_index)
+                                   armed_since=self._first_event_time,
+                                   stage=self._stage_index)
                 self.reset()
-                state = self._state
-            expected = self._stages[state.stage_index].source
-            if source != expected:
+            if source != stages[self._stage_index].source:
                 continue
-            if state.stage_index == 0:
-                state.first_event_time = time
-            state.history.append(time)
-            state.stage_index += 1
-            if state.stage_index == len(self._stages):
+            if self._stage_index == 0:
+                self._first_event_time = time
+            self._stage_index += 1
+            if self._stage_index == len(stages):
                 if tracer is not None:
                     tracer.instant("fsm.fire", CAT_FSM, time,
-                                   mode="SEQUENCE", stages=len(self._stages))
+                                   mode="SEQUENCE", stages=len(stages))
                 jam_times.append(time)
                 self.reset()
             elif tracer is not None:
-                name = "fsm.arm" if state.stage_index == 1 else "fsm.advance"
+                name = "fsm.arm" if self._stage_index == 1 else "fsm.advance"
                 tracer.instant(name, CAT_FSM, time,
-                               stage=state.stage_index,
+                               stage=self._stage_index,
                                source=source.name)
         return jam_times

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro import units
 from repro.errors import ConfigurationError, StreamError
+from repro.runtime.buffers import ScratchBuffer
 
 #: Clock cycles from trigger to first RF sample out of the DUC.
 INIT_LATENCY_CLOCKS = 8
@@ -52,6 +53,12 @@ MAX_UPTIME_SAMPLES = 2 ** 32 // units.CLOCKS_PER_SAMPLE
 #: Most WGN samples drawn and dropped in one call when a burst's stream
 #: skips ahead, so a long gap never allocates more than 1 MiB.
 _SKIP_BLOCK_SAMPLES = 1 << 16
+
+#: The WGN scale, 1/sqrt(2) per component.  ``x / np.sqrt(2.0)`` for
+#: complex ``x`` multiplies each component by this reciprocal (numpy's
+#: complex-by-real division), so scaling the draws by it in place
+#: gives the same bits; a true division would not.
+_WGN_SCALE = np.float64(1.0 / np.sqrt(2.0))
 
 
 class JamWaveform(enum.IntEnum):
@@ -108,10 +115,13 @@ class TransmitController:
         self._capture = np.zeros(MAX_REPLAY_LENGTH, dtype=np.complex128)
         self._captured = 0
         self._host_waveform = np.zeros(0, dtype=np.complex128)
-        # Waveform snapshots per active interval, keyed by interval start.
+        # Waveform snapshots per active interval, keyed by interval
+        # start, already scaled by the amplitude.
         self._interval_sources: dict[int, np.ndarray] = {}
-        # Live WGN streams per burst, keyed by burst start.
+        # Live WGN streams per burst, keyed by burst start, and the
+        # float64 scratch their draws land in.
         self._wgn_streams: dict[int, _WgnStream] = {}
+        self._draws = ScratchBuffer(np.float64)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -222,7 +232,9 @@ class TransmitController:
         ``chunk_start`` that :meth:`observe_rx` has not been fed yet.
         A replay burst replays only samples received up to and
         including its trigger, so its snapshot comes from the capture
-        followed by the chunk's samples up to the trigger.
+        followed by the chunk's samples up to the trigger; it is
+        scaled by the amplitude once, here, so a replay burst keeps
+        the amplitude it was scheduled with.
         """
         bursts: list[JamEvent] = []
         for trigger in trigger_times:
@@ -238,8 +250,11 @@ class TransmitController:
                 waveform=self._waveform,
             ))
             if self._waveform is JamWaveform.REPLAY:
-                self._interval_sources[start] = self._capture_replay(
-                    rx_chunk, trigger - chunk_start)
+                snapshot = self._capture_replay(rx_chunk,
+                                                trigger - chunk_start)
+                if self._amplitude != 1.0:
+                    snapshot *= self._amplitude
+                self._interval_sources[start] = snapshot
         return bursts
 
     @property
@@ -288,15 +303,19 @@ class TransmitController:
     # ------------------------------------------------------------------
     # Waveform synthesis
 
-    def _wgn_samples(self, interval_start: int, offset: int, count: int) -> np.ndarray:
-        """Deterministic WGN: a per-burst stream seeded from the burst start.
+    def _add_wgn(self, interval_start: int, offset: int,
+                 out: np.ndarray) -> None:
+        """Add a burst's WGN, times amplitude, into ``out``.
 
-        Seeding from ``(seed, interval_start)`` makes the synthesized
-        waveform independent of how the timeline is chunked.  The
-        burst's generator carries over between calls: a request that
-        starts where the last one ended just continues it, one further
-        ahead draws and drops the gap, and only one behind it (or a
-        changed seed) starts the stream over.
+        Deterministic WGN: a per-burst stream seeded from the burst
+        start, which makes the synthesized waveform independent of how
+        the timeline is chunked.  The burst's generator carries over
+        between calls: a request that starts where the last one ended
+        just continues it, one further ahead draws and drops the gap,
+        and only one behind it (or a changed seed) starts the stream
+        over.  The draws land in one float64 scratch, I and Q
+        interleaved, are scaled in place and added into ``out`` as its
+        complex view, so no complex temporary is built.
         """
         stream = self._wgn_streams.get(interval_start)
         if stream is None or stream.seed != self._wgn_seed \
@@ -309,30 +328,34 @@ class TransmitController:
             step = min(gap, _SKIP_BLOCK_SAMPLES)
             rng.standard_normal(2 * step)
             gap -= step
-        pairs = rng.standard_normal(2 * count)
+        count = out.size
+        draws = self._draws.view(2 * count)
+        rng.standard_normal(out=draws)
         stream.drawn = offset + count
-        samples = (pairs[0::2] + 1j * pairs[1::2]) / np.sqrt(2.0)
-        return samples
+        draws *= _WGN_SCALE
+        if self._amplitude != 1.0:
+            draws *= self._amplitude
+        out += draws.view(np.complex128)
 
-    def _add_cycled(self, source: np.ndarray, offset: int,
+    @staticmethod
+    def _add_cycled(source: np.ndarray, offset: int,
                     out: np.ndarray) -> None:
-        """Add ``source`` cycled from ``offset``, times amplitude, to ``out``.
+        """Add ``source`` cycled from ``offset`` to ``out``.
 
         Wraps by slices: a head up to the end of ``source``, whole
         periods as one broadcast add, then a tail.
         """
-        amplitude = self._amplitude
         size = source.size
         start = offset % size
         head = min(size - start, out.size)
-        out[:head] += source[start:start + head] * amplitude
+        out[:head] += source[start:start + head]
         periods, tail = divmod(out.size - head, size)
         if periods:
             # Splitting the one axis of a 1-D view is always a view.
             grid = out[head:head + periods * size].reshape(periods, size)
-            grid += source * amplitude
+            grid += source
         if tail:
-            out[out.size - tail:] += source[:tail] * amplitude
+            out[out.size - tail:] += source[:tail]
 
     def synthesize(self, interval: JamEvent, chunk_start: int,
                    chunk_length: int, out: np.ndarray | None = None
@@ -358,9 +381,7 @@ class TransmitController:
         else:
             wave = out[local:local + count]
         if interval.waveform is JamWaveform.WGN:
-            noise = self._wgn_samples(interval.start, offset_in_burst, count)
-            noise *= self._amplitude
-            wave += noise
+            self._add_wgn(interval.start, offset_in_burst, wave)
         elif interval.waveform is JamWaveform.REPLAY:
             source = self._interval_sources.get(interval.start)
             if source is not None:
@@ -368,7 +389,10 @@ class TransmitController:
         # An empty host transmit buffer radiates silence, as an
         # un-filled hardware FIFO would — never a crash.
         elif self._host_waveform.size:
-            self._add_cycled(self._host_waveform, offset_in_burst, wave)
+            source = self._host_waveform
+            if self._amplitude != 1.0:
+                source = source * self._amplitude
+            self._add_cycled(source, offset_in_burst, wave)
         return local, wave
 
     def release_interval(self, interval: JamEvent) -> None:

@@ -22,6 +22,7 @@ from repro.hw.duc import DigitalUpConverter
 from repro.hw.registers import UserRegisterBus
 from repro.hw.vita_time import VitaTimestamp, VitaTimeSource
 from repro.hw.watchdog import Watchdog
+from repro.runtime.buffers import ScratchBuffer
 
 if TYPE_CHECKING:  # repro.faults imports repro.hw; avoid the cycle.
     from repro.faults.stream import StreamFaultInjector
@@ -107,6 +108,10 @@ class UsrpN210:
         # Samples of the current chunk the fault stage has already
         # consumed; nonzero only while a later stage may reject it.
         self._faults_consumed = 0
+        # The DDC's output lands in one reused baseband buffer.  Every
+        # block copies what it keeps of a chunk, so the next chunk may
+        # overwrite it.
+        self._baseband = ScratchBuffer(np.complex128)
 
     def timestamp_of(self, sample_index: int) -> "VitaTimestamp":
         """Absolute VITA time of an event's sample index (Fig. 1)."""
@@ -130,6 +135,9 @@ class UsrpN210:
         the antenna-port transmit waveform for the same sample span,
         written into ``tx_out`` (a zero-filled complex128 buffer of
         the chunk's length) when one is passed, else into a new array.
+        The DDC's IQ16 baseband lands in one buffer the device reuses
+        from chunk to chunk, so a steady chunk allocates nothing of
+        the chunk's size.
         """
         rx_chunk = np.asarray(rx_chunk, dtype=np.complex128)
         self._faults_consumed = 0
@@ -138,7 +146,8 @@ class UsrpN210:
             self._faults_consumed = rx_chunk.size
         # The DDC already quantizes its output to IQ16, so the core is
         # told not to re-quantize (no second pass over the chunk).
-        baseband = self.ddc.process(rx_chunk)
+        baseband = self.ddc.process(
+            rx_chunk, out=self._baseband.view(rx_chunk.size))
         output = self.core.process(baseband, quantized=True, tx_out=tx_out)
         tx = self.duc.process(output.tx)
         if tx_out is not None and tx is not tx_out:

@@ -95,28 +95,55 @@ class Watchdog:
     def __init__(self, config: WatchdogConfig | None = None) -> None:
         self.config = config if config is not None else WatchdogConfig()
         self.trips: list[WatchdogTrip] = []
+        self._reported = 0  # trips already handed to a report
+        # Recorded transmit spans, oldest first, and the sum of their
+        # lengths.  ``_ordered`` holds while each span starts at or
+        # after the previous one's end, as every burst and continuous
+        # chunk does; then only the oldest span can straddle a
+        # window's start.
         self._spans: deque[tuple[int, int]] = deque()
+        self._span_total = 0
+        self._ordered = True
         self._illegal: dict[int, str] = {}
         #: Telemetry probe: every trip also lands in the trace.
         self.tracer: Tracer = NULL_TRACER
 
     def _record_trip(self, trip: WatchdogTrip) -> None:
         self.trips.append(trip)
-        self.tracer.instant(f"watchdog.{trip.reason}", CAT_WATCHDOG,
-                            trip.time, detail=trip.detail)
+        if self.tracer.enabled:
+            self.tracer.instant(f"watchdog.{trip.reason}", CAT_WATCHDOG,
+                                trip.time, detail=trip.detail)
 
     # ------------------------------------------------------------------
     # Duty-cycle guard
 
     def _prune(self, now: int) -> None:
         horizon = now - self.config.duty_window_samples
-        while self._spans and self._spans[0][1] <= horizon:
-            self._spans.popleft()
+        spans = self._spans
+        while spans and spans[0][1] <= horizon:
+            start, end = spans.popleft()
+            self._span_total -= end - start
+        if not spans:
+            self._ordered = True
 
     def _busy_samples(self, now: int) -> int:
+        """Recorded samples inside the window ending at ``now``.
+
+        Runs after :meth:`_prune` at the same ``now``.  While the spans
+        are ordered and none ends after ``now`` — every duty decision
+        asks at a time no recorded span has passed — that is the span
+        total less the oldest span's part before the window, one step.
+        Any other query (a ``duty_cycle`` at an earlier time) walks
+        the spans.
+        """
+        spans = self._spans
+        if not spans:
+            return 0
         lo = now - self.config.duty_window_samples
+        if self._ordered and spans[-1][1] <= now:
+            return self._span_total - max(0, lo - spans[0][0])
         busy = 0
-        for start, end in self._spans:
+        for start, end in spans:
             overlap = min(end, now) - max(start, lo)
             if overlap > 0:
                 busy += overlap
@@ -134,6 +161,8 @@ class Watchdog:
         commits a burst.  Admitted spans are recorded against the
         budget; a vetoed burst never occupies the pipeline and leaves
         only its trip record, so every vetoed trigger is one trip.
+        The decision costs the same however many spans the window
+        holds.
         """
         self._prune(start)
         if self.config.max_duty_cycle >= 1.0:
@@ -180,7 +209,11 @@ class Watchdog:
 
     def _record(self, start: int, end: int) -> None:
         if end > start:
-            self._spans.append((start, end))
+            spans = self._spans
+            if spans and start < spans[-1][1]:
+                self._ordered = False
+            spans.append((start, end))
+            self._span_total += end - start
 
     # ------------------------------------------------------------------
     # Safe state on illegal register contents
@@ -212,7 +245,15 @@ class Watchdog:
     # Trigger-FSM re-arm timeout
 
     def check_rearm(self, fsm, now: int) -> bool:
-        """Reset a stale partially-advanced FSM; True if it tripped."""
+        """Reset a stale partially-advanced FSM; True if it tripped.
+
+        A machine armed at sample ``a`` is stale from sample ``a +
+        timeout + 1`` on.  The trip is stamped with that sample, so it
+        does not depend on when the check runs: the DSP core asks
+        before each event the armed machine takes and at each chunk's
+        last sample, so the reset lands at that sample at every
+        chunking.
+        """
         timeout = self.config.rearm_timeout_samples
         if timeout == 0:
             return False
@@ -221,9 +262,9 @@ class Watchdog:
             return False
         fsm.reset()
         self._record_trip(WatchdogTrip(
-            time=now, reason=TRIP_REARM_TIMEOUT,
+            time=armed_since + timeout + 1, reason=TRIP_REARM_TIMEOUT,
             detail=f"trigger FSM armed since sample {armed_since} "
-                   f"re-armed after {now - armed_since} samples",
+                   f"re-armed after {timeout + 1} samples",
         ))
         return True
 
@@ -233,8 +274,22 @@ class Watchdog:
         """Trips matching one reason string."""
         return [trip for trip in self.trips if trip.reason == reason]
 
+    def report_trips(self) -> list[WatchdogTrip]:
+        """The trips recorded since the last call (or :meth:`reset`).
+
+        Each ``ReactiveJammer.run`` report carries these, so a report
+        holds its own run's trips (and any recorded between runs), not
+        every earlier run's.  :attr:`trips` keeps the whole history.
+        """
+        trips = self.trips[self._reported:]
+        self._reported = len(self.trips)
+        return trips
+
     def reset(self) -> None:
         """Clear run-time state (trip history included)."""
         self.trips.clear()
+        self._reported = 0
         self._spans.clear()
+        self._span_total = 0
+        self._ordered = True
         self._illegal.clear()

@@ -17,7 +17,8 @@ that possible without touching the science:
   for expensive deterministic artifacts (PPDUs, preambles, quantized
   coefficient banks, resampled templates);
 * :mod:`repro.runtime.buffers` — grow-only scratch buffers the
-  streaming hot path reuses across chunks instead of reallocating;
+  streaming hot path reuses across chunks instead of reallocating,
+  and the per-chunk-length plans of views into them;
 * :mod:`repro.runtime.blas` — the one-BLAS-thread cap every sweep
   trial runs under, serial or pooled.
 
@@ -29,7 +30,7 @@ applies to the register bus.
 
 from __future__ import annotations
 
-from repro.runtime.buffers import ScratchBuffer
+from repro.runtime.buffers import PlanCache, ScratchBuffer
 from repro.runtime.cache import (
     DEFAULT_CACHE,
     ArtifactCache,
@@ -51,6 +52,7 @@ from repro.runtime.jobs import (
 __all__ = [
     "ArtifactCache",
     "DEFAULT_CACHE",
+    "PlanCache",
     "ResilienceConfig",
     "ResilientSweepRunner",
     "ScratchBuffer",

@@ -13,13 +13,27 @@ Views returned by :meth:`ScratchBuffer.view` alias the underlying
 storage, so they are only valid until the next ``view`` call on the
 same buffer — exactly the within-one-``process``-call lifetime the
 streaming blocks need.
+
+Slicing those views costs as much as a small ufunc call, so a block
+that sees the same chunk length again and again keeps a *plan*: every
+view one chunk length needs, built on the first chunk of that length.
+A :class:`PlanCache` holds a block's plans.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable
+from typing import Generic, TypeVar
+
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+PlanT = TypeVar("PlanT")
+
+#: Chunk lengths a :class:`PlanCache` keeps plans for: a stream has one
+#: or two, a Fig. 8 trial streams energy rows of six.
+PLAN_SLOTS = 8
 
 
 class ScratchBuffer:
@@ -56,3 +70,46 @@ class ScratchBuffer:
             self._storage = np.empty(n, dtype=self.dtype)
             self.grows += 1
         return self._storage[:n]
+
+
+class PlanCache(Generic[PlanT]):
+    """A block's per-chunk-length plans over its grow-only scratch.
+
+    ``build(key)`` makes the plan for one key (a chunk length, or a
+    length and what else shapes the views) on the first chunk that
+    asks for it; later chunks with that key reuse it.  The cache keeps
+    the :data:`PLAN_SLOTS` most recently built plans and drops them
+    all when ``scratch`` grows, since their views then alias storage
+    the block no longer uses.
+
+    Attributes:
+        builds: Plans built so far — a steady chunk loop builds one
+            per chunk length and then none, and tests assert exactly
+            that.
+    """
+
+    def __init__(self, build: Callable[[Hashable], PlanT],
+                 scratch: ScratchBuffer) -> None:
+        self._build = build
+        self._scratch = scratch
+        self._plans: dict[Hashable, PlanT] = {}
+        self.builds = 0
+
+    def get(self, key: Hashable) -> PlanT:
+        """The plan for ``key``, built if no kept plan matches."""
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._add(key)
+        return plan
+
+    def _add(self, key: Hashable) -> PlanT:
+        grows = self._scratch.grows
+        plan = self._build(key)
+        self.builds += 1
+        plans = self._plans
+        if self._scratch.grows != grows:
+            plans.clear()
+        elif len(plans) >= PLAN_SLOTS:
+            del plans[next(iter(plans))]
+        plans[key] = plan
+        return plan

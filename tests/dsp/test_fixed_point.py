@@ -118,11 +118,15 @@ class TestQuantizeIq16InPlace:
     @settings(max_examples=300, deadline=None)
     def test_byte_equal_to_reference(self, pairs):
         values = _complex([re for re, _ in pairs], [im for _, im in pairs])
+        given = np.full(values.shape, 7.0 + 7.0j)
         with np.errstate(over="ignore"):
             reference = quantize(values, IQ16)
             out = quantize_iq16(values)
+            into = quantize_iq16(values, out=given)
         assert out.dtype == np.complex128
         assert out.tobytes() == reference.tobytes()
+        assert into is given
+        assert given.tobytes() == reference.tobytes()
 
     def test_every_edge_pair_matches(self):
         real, imag = np.meshgrid(_EDGES, _EDGES)
@@ -148,6 +152,15 @@ class TestQuantizeIq16InPlace:
         values[5] = nan
         with pytest.raises(StreamError, match="NaN"):
             quantize_iq16(values)
+
+    @pytest.mark.parametrize("out", [
+        np.empty(7, dtype=np.complex128),
+        np.empty(8, dtype=np.complex64),
+        np.empty(16, dtype=np.complex128)[::2],
+    ])
+    def test_an_out_that_does_not_fit_is_rejected(self, out):
+        with pytest.raises(StreamError, match="out must be"):
+            quantize_iq16(np.full(8, 0.25 + 0.25j), out=out)
 
     def test_input_is_not_modified(self, rng):
         values = rng.uniform(-2, 2, 32) + 1j * rng.uniform(-2, 2, 32)

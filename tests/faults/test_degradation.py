@@ -8,14 +8,14 @@ import pytest
 from repro.core.detection import DetectionConfig
 from repro.core.events import JammingEventBuilder
 from repro.core.jammer import DegradationPolicy, HealthReport, ReactiveJammer
-from repro.core.presets import reactive_jammer
+from repro.core.presets import JammerPersonality, reactive_jammer
 from repro.errors import ConfigurationError, StreamError
 from repro.faults import FaultPlan, FaultyRegisterBus, NO_FAULTS, StreamFaultInjector
 from repro.hw import register_map as regmap
 from repro.hw.ddc import DigitalDownConverter
 from repro.hw.impairments import TYPICAL_N210
 from repro.hw.usrp import UsrpN210
-from repro.hw.watchdog import Watchdog
+from repro.hw.watchdog import Watchdog, WatchdogConfig
 
 CHUNK = 1024
 
@@ -120,6 +120,30 @@ def test_watchdog_trips_surface_in_health(template, rng):
     assert report.health.degraded
 
 
+def test_each_report_carries_its_own_trips(template, rng):
+    """Three runs through one jammer, no reset between them: each
+    report holds its own run's duty-guard vetoes, not every earlier
+    run's, and a later run that needed no intervention is clean."""
+    jammer = ReactiveJammer(watchdog=Watchdog(WatchdogConfig(
+        max_duty_cycle=0.5, duty_window_samples=1000)))
+    jammer.configure(
+        detection=DetectionConfig(template=template, xcorr_threshold=30_000),
+        events=JammingEventBuilder().on_correlation(),
+        personality=JammerPersonality(name="guarded", uptime_samples=400))
+    signal = _signal(template, rng, n=3000, burst_at=0)
+    signal[1000:1000 + template.size] += template
+    reports = [jammer.run(signal, chunk_size=CHUNK) for _ in range(3)]
+    assert [len(report.health.watchdog_trips) for report in reports] \
+        == [1, 1, 1]
+    for run, report in enumerate(reports):
+        [trip] = report.health.watchdog_trips
+        assert trip.time == 3000 * run + 1065
+    assert len(jammer.device.core.watchdog.trips) == 3
+    quiet = jammer.run(np.zeros(3000, dtype=np.complex128), chunk_size=CHUNK)
+    assert quiet.health.watchdog_trips == []
+    assert not quiet.health.degraded
+
+
 def test_device_conflicts_with_wiring_kwargs():
     with pytest.raises(ConfigurationError):
         ReactiveJammer(UsrpN210(), watchdog=Watchdog())
@@ -198,9 +222,10 @@ def test_skip_after_rejected_chunk_keeps_every_clock_aligned(template, rng):
     baseband = []
     ddc_process = jammer.device.ddc.process
 
-    def recording(samples):
-        out = ddc_process(samples)
-        baseband.append(out)
+    def recording(samples, out=None):
+        out = ddc_process(samples, out=out)
+        # The device reuses its baseband buffer chunk to chunk.
+        baseband.append(out.copy())
         return out
 
     jammer.device.ddc.process = recording

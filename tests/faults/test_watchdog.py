@@ -5,8 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.coeffs import wifi_short_preamble_template
+from repro.core.detection import DetectionConfig
+from repro.core.events import JammingEventBuilder
+from repro.core.jammer import ReactiveJammer
+from repro.core.presets import JammerPersonality
 from repro.errors import ConfigurationError
 from repro.hw import register_map as regmap
+from repro.hw.trigger import TriggerSource
 from repro.hw.usrp import UsrpN210
 from repro.hw.watchdog import (
     TRIP_DUTY_CYCLE,
@@ -146,6 +152,72 @@ class TestRearmTimeout:
         fsm = _FakeFsm(armed_since=None)
         assert not wd.check_rearm(fsm, now=10 ** 6)
         assert fsm.resets == 0
+
+    def test_trip_is_stamped_where_the_timeout_elapsed(self):
+        wd = Watchdog(WatchdogConfig(rearm_timeout_samples=1000))
+        assert wd.check_rearm(_FakeFsm(armed_since=100), now=5000)
+        [trip] = wd.trips
+        assert trip.time == 1101
+        assert trip.detail == ("trigger FSM armed since sample 100 "
+                               "re-armed after 1001 samples")
+
+
+def _rearm_capture(n: int = 4500) -> np.ndarray:
+    """Faint noise, then from sample 500 steady noise at the short
+    preamble's power, with the preamble itself in [1637, 1701): an
+    energy rise at 500 and a correlation at 1700, and nothing else
+    that rises."""
+    rng = np.random.default_rng(9)
+    template = wifi_short_preamble_template()
+    sigma = np.sqrt(np.mean(np.abs(template) ** 2) / 2)
+    rx = 1e-6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    rx[500:] = sigma * (rng.standard_normal(n - 500)
+                        + 1j * rng.standard_normal(n - 500))
+    rx[1637:1701] = template
+    return rx
+
+
+def _rearm_jammer(events: JammingEventBuilder,
+                  watchdog: Watchdog | None) -> ReactiveJammer:
+    jammer = ReactiveJammer(watchdog=watchdog)
+    jammer.configure(
+        DetectionConfig(template=wifi_short_preamble_template(),
+                        xcorr_threshold=20_000),
+        events, JammerPersonality(name="rearm", uptime_samples=100))
+    return jammer
+
+
+class TestRearmDeadline:
+    """A two-stage sequence (energy rise, then correlation) under a
+    corrupted 100,000-sample window: the rise at 500 arms the FSM and
+    the correlation at 1700 would fire it.  A 1000-sample re-arm
+    timeout elapses at 1501, so the arm is dropped there — at every
+    chunk size, not at the first chunk start past it."""
+
+    RX = _rearm_capture()
+
+    def test_premise(self):
+        single = _rearm_jammer(JammingEventBuilder().on_energy_rise(), None)
+        report = single.run(self.RX, chunk_size=self.RX.size)
+        assert [(d.time, d.source) for d in report.detections][:2] == [
+            (500, TriggerSource.ENERGY_HIGH), (1700, TriggerSource.XCORR)]
+        stale = _rearm_jammer(JammingEventBuilder().on_energy_rise()
+                              .on_correlation().within_samples(100_000),
+                              None)
+        report = stale.run(self.RX, chunk_size=self.RX.size)
+        assert [jam.trigger_time for jam in report.jams] == [1700]
+
+    @pytest.mark.parametrize("chunk", [64, 256, 1000, 4000, RX.size])
+    def test_timeout_applies_at_the_sample_it_elapses(self, chunk):
+        jammer = _rearm_jammer(
+            JammingEventBuilder().on_energy_rise().on_correlation()
+            .within_samples(100_000),
+            Watchdog(WatchdogConfig(rearm_timeout_samples=1000)))
+        report = jammer.run(self.RX, chunk_size=chunk)
+        assert report.jams == []
+        assert [(trip.time, trip.reason)
+                for trip in report.health.watchdog_trips] == [
+            (1501, TRIP_REARM_TIMEOUT)]
 
 
 class TestCoreIntegration:

@@ -13,6 +13,8 @@ count mid-stream.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
@@ -176,3 +178,36 @@ def test_steady_state_chunk_loop_grows_no_scratch():
             core.process(rx[start:start + 1024], quantized=True)
         assert [buffer.grows for buffer in buffers] == grows
         assert sum(core.detection_counts.values())
+
+
+def _plan_builds(device) -> tuple[int, int, int]:
+    core = device.core
+    return (core._plans.builds, core.energy._plans.builds,
+            device._baseband.grows)
+
+
+def test_steady_usrp_chunk_plans_once_and_allocates_nothing_chunk_sized():
+    """``UsrpN210.process`` on 8192-sample chunks into a run-owned
+    transmit buffer, the correlator silent and the energy trigger
+    sending WGN bursts: after the first chunk no block builds a plan
+    (nor grows its baseband buffer), and 16 more chunks allocate less
+    than a quarter of one chunk's complex128 bytes at their peak (a
+    fresh quantizer output alone is all of them)."""
+    n = 8192
+    rx = _stream(17 * n)
+    device = UsrpN210()
+    tx = np.zeros(rx.size, dtype=np.complex128)
+    device.process(rx[:n], tx_out=tx[:n])
+    builds = _plan_builds(device)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for start in range(n, rx.size, n):
+            device.process(rx[start:start + n], tx_out=tx[start:start + n])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _plan_builds(device) == builds
+    assert peak - base < 16 * n // 4
+    assert device.core.jam_count

@@ -199,10 +199,13 @@ def _edge_plane(bank_edges, ehigh, elow, width=41) -> np.ndarray:
 
 
 def _events(core, chunk_start, xcorr_banks, ehigh, elow):
-    """Feed per-row edge lists to the core's event builder."""
+    """Feed per-row edge lists to the core's event builder, through
+    the edge plane of the core's plan for that width and bank set."""
     plane = _edge_plane([edges for edges, _ in xcorr_banks], ehigh, elow)
-    return core._events(chunk_start, plane,
-                        tuple(label for _, label in xcorr_banks))
+    plan = core._plans.get(
+        (plane.shape[1], tuple(label for _, label in xcorr_banks)))
+    plan.edges[...] = plane
+    return core._events(chunk_start, plan)
 
 
 def _lexsort_reference(chunk_start, xcorr_banks, ehigh, elow):

@@ -326,7 +326,7 @@ class TestContinuousIgnoresTriggers:
 
 class _DrawCounter:
     """Counts the generators ``np.random.default_rng`` builds and the
-    normals drawn from them."""
+    normals drawn from them, by ``size`` or into ``out``."""
 
     def __init__(self, monkeypatch) -> None:
         self.generators = 0
@@ -338,7 +338,10 @@ class _DrawCounter:
             def __init__(self, seed) -> None:
                 self._rng = real(seed)
 
-            def standard_normal(self, size):
+            def standard_normal(self, size=None, out=None):
+                if out is not None:
+                    counter.normals += out.size
+                    return self._rng.standard_normal(size, out=out)
                 counter.normals += int(np.prod(size))
                 return self._rng.standard_normal(size)
 

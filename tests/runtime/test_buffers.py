@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime.buffers import ScratchBuffer
+from repro.runtime.buffers import PLAN_SLOTS, PlanCache, ScratchBuffer
 
 
 class TestScratchBuffer:
@@ -54,3 +54,36 @@ class TestScratchBuffer:
         scratch = ScratchBuffer(np.int64)
         with pytest.raises(ConfigurationError):
             scratch.view(-1)
+
+
+class TestPlanCache:
+    @staticmethod
+    def _cache():
+        scratch = ScratchBuffer(np.float64)
+        return PlanCache(scratch.view, scratch), scratch
+
+    def test_a_length_is_planned_once(self):
+        cache, _scratch = self._cache()
+        first = cache.get(64)
+        assert cache.get(64) is first
+        assert cache.builds == 1
+
+    def test_growth_drops_the_plans_over_the_old_storage(self):
+        cache, scratch = self._cache()
+        short = cache.get(64)
+        cache.get(128)  # grows the scratch
+        assert not np.shares_memory(short, scratch.view(64))
+        assert np.shares_memory(cache.get(64), scratch.view(64))
+        assert cache.builds == 3
+
+    def test_the_oldest_plan_goes_first(self):
+        cache, _scratch = self._cache()
+        lengths = range(PLAN_SLOTS + 1, 0, -1)  # no growth after the first
+        for n in lengths:
+            cache.get(n)
+        builds = cache.builds
+        for n in list(lengths)[1:]:
+            cache.get(n)
+        assert cache.builds == builds
+        cache.get(PLAN_SLOTS + 1)
+        assert cache.builds == builds + 1
