@@ -62,7 +62,7 @@ def snapshot_profile(device: UsrpN210, name: str = "unnamed") -> dict:
             "banks": _bank_entries(core),
         },
         "trigger": {
-            "sources": [s.source.name for s in core.fsm.stages],
+            "sources": [source.name for source in core.fsm.stages],
             "window_samples": core.fsm.window_samples,
             "mode": core.fsm.mode.name,
         },

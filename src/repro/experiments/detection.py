@@ -47,10 +47,10 @@ from repro.hw.energy_differentiator import (
 )
 from repro.kernels import (
     clamped_thresholds,
+    edge_mask,
     prepare_coefficients,
     sign_plane,
     xcorr_detect,
-    xcorr_detect_batch,
 )
 from repro.phy.wifi.frame import WifiFrameConfig, build_ppdu
 from repro.phy.wifi.params import WIFI_SAMPLE_RATE, WifiRate
@@ -91,6 +91,10 @@ _DRAWS = ScratchBuffer(np.float64)
 #: from the per-trial noise generators that share the same user seed.
 _FRAME_SEED_KEY = 0xF4A3
 
+#: Kept only for ``benchmarks/e2e/workloads.py``, whose traced
+#: ``fig6_sweep`` pass wraps this name; nothing here calls it.
+xcorr_detect_batch = xcorr_detect
+
 
 @dataclass(frozen=True)
 class DetectionPoint:
@@ -126,21 +130,17 @@ def threshold_for_false_alarm_rate(coeffs_i: np.ndarray, coeffs_q: np.ndarray,
     return int(round(threshold))
 
 
-#: Row width the noise-only calibration folds its chunks into.
-_FA_ROW_SAMPLES = 1 << 13
-
-
 def measured_false_alarm_rate(correlator: CrossCorrelator, duration_s: float,
                               rng: np.random.Generator,
                               chunk_samples: int = 1 << 18) -> float:
     """Empirical triggers/second on a noise-only (terminated) input.
 
     The noise is drawn in ``chunk_samples`` pieces (the RNG draw order
-    is part of the seeded contract) but each chunk runs through the
-    chained batch kernel as a ``rows x _FA_ROW_SAMPLES`` block, with
-    the sign history and last-trigger state carried across chunks —
-    byte-identical to streaming the same noise through
-    ``correlator.detect`` from reset state.
+    is part of the seeded contract) and streamed, from reset state,
+    through a fresh :class:`CrossCorrelator` holding ``correlator``'s
+    banks and thresholds; ``correlator`` itself is not touched.  Each
+    chunk's rising edges are taken against the previous chunk's last
+    trigger column.
     """
     if not duration_s > 0:
         raise ConfigurationError(
@@ -148,25 +148,18 @@ def measured_false_alarm_rate(correlator: CrossCorrelator, duration_s: float,
     if chunk_samples < 1:
         raise ConfigurationError(
             f"chunk_samples must be at least 1, got {chunk_samples}")
-    total_samples = int(duration_s * units.BASEBAND_RATE)
-    prepared = correlator.prepared_coefficients
-    thresholds = correlator.thresholds
+    detector = CrossCorrelator()
+    detector.load_banks([correlator.bank_coefficients(k)
+                         for k in range(correlator.n_banks)],
+                        correlator.thresholds)
     triggers = 0
-    history = None
-    last = None
-    remaining = total_samples
+    last = np.zeros(detector.n_banks, dtype=bool)
+    remaining = int(duration_s * units.BASEBAND_RATE)
     while remaining > 0:
         n = min(chunk_samples, remaining)
-        n_rows = -(-n // _FA_ROW_SAMPLES)
-        blocks = np.zeros((n_rows, _FA_ROW_SAMPLES), dtype=np.complex128)
-        awgn(n, 1.0, rng, out=blocks.reshape(-1)[:n])
-        lengths = np.full(n_rows, _FA_ROW_SAMPLES, dtype=np.int64)
-        lengths[-1] = n - _FA_ROW_SAMPLES * (n_rows - 1)
-        result = xcorr_detect_batch(blocks, lengths, prepared, thresholds,
-                                    history=history, last=last)
-        triggers += int(result.edge_plane.sum())
-        history = result.history
-        last = result.last
+        trigger = detector.detect(awgn(n, 1.0, rng))
+        triggers += int(np.count_nonzero(edge_mask(trigger, last)))
+        last = trigger[:, -1]
         remaining -= n
     return triggers / duration_s
 

@@ -493,10 +493,10 @@ class CustomDspCore:
         back as ``CoreOutput.tx``.  Without it the core allocates one.
 
         The trigger and edge planes are the views of the plan for the
-        chunk's length and bank set, built on its first chunk.  With a
-        watchdog, a stale FSM arm is reset at the sample its re-arm
-        timeout elapses (the FSM asks before each event it takes while
-        armed; the core asks at the chunk's last sample).
+        chunk's length and bank set, built on its first chunk.  An FSM
+        arm ends at the sample its combination window or, with a
+        watchdog, its re-arm timeout lapses, whichever comes first
+        (:meth:`TriggerStateMachine.expire`).
         """
         if quantized:
             rx_chunk = np.asarray(rx_chunk)
@@ -537,12 +537,10 @@ class CustomDspCore:
         if detections:
             jam_times = self.fsm.process_events(
                 [(event.time, event.source) for event in detections])
-        # The watchdog's re-arm timeout applies at the sample it
-        # elapses: the FSM asks before each event it takes while
+        # An FSM arm ends at the sample its window or re-arm timeout
+        # lapses: the FSM checks before each event it takes while
         # armed, and here at the chunk's last sample.
-        watchdog = self.watchdog
-        if watchdog is not None:
-            watchdog.check_rearm(self.fsm, chunk_start + n - 1)
+        self.fsm.expire(chunk_start + n - 1)
 
         jams: list[JamEvent] = []
         if jam_times and self._tx_allowed and not self.continuous:
@@ -551,6 +549,7 @@ class CustomDspCore:
             # free for before the controller commits it.  Replay
             # snapshots take the chunk up to their trigger; the capture
             # sees the whole chunk once, after scheduling.
+            watchdog = self.watchdog
             admit = (watchdog.admit_interval
                      if watchdog is not None else None)
             jams = self.tx.schedule(jam_times, samples, chunk_start, admit)

@@ -23,8 +23,7 @@ Address     Contents
             to 2^32 - 1 by the bus width)
 21          jam waveform select (bits 0-1) + WGN seed (bits 2-31)
 22          control flags: bit 0 jammer enable, bit 1 continuous
-            (jam regardless of triggers), bit 2 replay-capture
-            freeze, bits 8-15 antenna control
+            (jam regardless of triggers), bits 8-15 antenna control
 23          replay length, samples (1..512)
 ==========  =====================================================
 
@@ -108,7 +107,6 @@ TOTAL_REGISTERS_USED = REGISTERS_USED + BANKED_REGISTERS_USED
 # Control-flag bit positions (register 22).
 FLAG_JAMMER_ENABLE = 1 << 0
 FLAG_CONTINUOUS = 1 << 1
-FLAG_REPLAY_FREEZE = 1 << 2
 ANTENNA_SHIFT = 8
 ANTENNA_MASK = 0xFF << ANTENNA_SHIFT
 
@@ -189,7 +187,7 @@ REGISTER_SPECS: tuple[RegisterSpec, ...] = tuple(
         RegisterSpec("REG_JAM_WAVEFORM", REG_JAM_WAVEFORM, 32,
                      "waveform select (bits 0-1) + WGN seed (bits 2-31)"),
         RegisterSpec("REG_CONTROL_FLAGS", REG_CONTROL_FLAGS, 16,
-                     "enable/continuous/freeze flags + antenna bits 8-15"),
+                     "enable/continuous flags + antenna bits 8-15"),
         RegisterSpec("REG_REPLAY_LENGTH", REG_REPLAY_LENGTH, 10,
                      "replay capture length, samples (1..512)", max_value=512),
         RegisterSpec("REG_BANK_COUNT", REG_BANK_COUNT, 3,

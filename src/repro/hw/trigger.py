@@ -20,7 +20,6 @@ whose state only changes on events — walks the edges.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -56,19 +55,12 @@ class TriggerMode(enum.IntEnum):
     ANY = 1
 
 
-@dataclass(frozen=True)
-class StageConfig:
-    """One FSM stage: which source it waits for."""
-
-    source: TriggerSource
-
-
 class TriggerStateMachine:
     """Combines up to three detection events within a time window."""
 
     MAX_STAGES = 3
 
-    def __init__(self, stages: list[StageConfig] | list[TriggerSource],
+    def __init__(self, stages: list[TriggerSource],
                  window_samples: int = 0,
                  mode: TriggerMode = TriggerMode.SEQUENCE) -> None:
         if not stages:
@@ -77,13 +69,7 @@ class TriggerStateMachine:
             raise ConfigurationError(
                 f"the hardware FSM has {self.MAX_STAGES} stages, got {len(stages)}"
             )
-        normalized: list[StageConfig] = []
-        for stage in stages:
-            if isinstance(stage, TriggerSource):
-                normalized.append(StageConfig(source=stage))
-            else:
-                normalized.append(stage)
-        self._stages = normalized
+        self._stages = [TriggerSource(stage) for stage in stages]
         self._mode = TriggerMode(mode)
         self.window_samples = window_samples
         # Run-time state: stages matched so far, and the time of the
@@ -92,14 +78,14 @@ class TriggerStateMachine:
         self._first_event_time = -1
         #: Telemetry probe for state transitions (null by default).
         self.tracer: Tracer = NULL_TRACER
-        #: The watchdog whose re-arm timeout the armed machine asks
-        #: about before each event it takes (the DSP core wires its
-        #: own; ``None`` leaves the machine unguarded).
+        #: The watchdog whose re-arm timeout :meth:`expire` asks about
+        #: (the DSP core wires its own; ``None`` leaves the machine
+        #: unguarded).
         self.watchdog: Watchdog | None = None
 
     @property
-    def stages(self) -> list[StageConfig]:
-        """Configured stages (copy)."""
+    def stages(self) -> list[TriggerSource]:
+        """Configured stage sources, in order (copy)."""
         return list(self._stages)
 
     @property
@@ -142,6 +128,35 @@ class TriggerStateMachine:
         self._stage_index = 0
         self._first_event_time = -1
 
+    def expire(self, now: int) -> None:
+        """End an arm that has lapsed by sample ``now``.
+
+        An arm taken at sample ``a`` lapses at ``a + window + 1``.  The
+        :attr:`watchdog`'s re-arm timeout ends it at ``a + timeout +
+        1`` instead when that comes first, and records a trip.  The
+        window wins a tie, and ``fsm.expire`` is stamped where the
+        window ran out, so the outcome does not depend on when the
+        check runs: the machine checks before each event it takes
+        while armed, and the DSP core at each chunk's last sample.
+        """
+        if not self._stage_index:
+            return
+        armed = self._first_event_time
+        lapse = armed + self._window + 1
+        # Asked as of the window's last sample at the latest, the
+        # watchdog trips only on a timeout that elapsed while the
+        # window still held the arm.
+        watchdog = self.watchdog
+        if watchdog is not None \
+                and watchdog.check_rearm(self, min(now, lapse - 1)):
+            return
+        if now >= lapse:
+            if self.tracer.enabled:
+                self.tracer.instant("fsm.expire", CAT_FSM, lapse,
+                                    armed_since=armed,
+                                    stage=self._stage_index)
+            self.reset()
+
     def process_events(self, events: list[tuple[int, TriggerSource]]) -> list[int]:
         """Feed time-ordered detection events; return jam-trigger times.
 
@@ -150,34 +165,24 @@ class TriggerStateMachine:
         Returns sample times at which the FSM completed and asserted
         the jam trigger.
 
-        Before each event the armed machine takes, its :attr:`watchdog`
-        (:meth:`repro.hw.watchdog.Watchdog.check_rearm`) may reset it,
-        so a stale arm is dropped at the sample its re-arm timeout
-        elapses, wherever the chunk boundaries fall.
+        Before each event the armed machine takes, :meth:`expire` ends
+        a lapsed arm, by its window or by the :attr:`watchdog`'s re-arm
+        timeout, wherever the chunk boundaries fall.
         """
         jam_times: list[int] = []
         tracer = self.tracer if self.tracer.enabled else None
         if self._mode is TriggerMode.ANY:
-            wanted = {stage.source for stage in self._stages}
+            wanted = set(self._stages)
             fired = [time for time, source in events if source in wanted]
             if tracer is not None:
                 for time in fired:
                     tracer.instant("fsm.fire", CAT_FSM, time, mode="ANY")
             return fired
         stages = self._stages
-        watchdog = self.watchdog
         for time, source in events:
-            if self._stage_index and watchdog is not None:
-                watchdog.check_rearm(self, time)
-            # Expire a partially-matched window.
-            if (self._stage_index
-                    and time - self._first_event_time > self._window):
-                if tracer is not None:
-                    tracer.instant("fsm.expire", CAT_FSM, time,
-                                   armed_since=self._first_event_time,
-                                   stage=self._stage_index)
-                self.reset()
-            if source != stages[self._stage_index].source:
+            if self._stage_index:
+                self.expire(time)
+            if source != stages[self._stage_index]:
                 continue
             if self._stage_index == 0:
                 self._first_event_time = time

@@ -249,10 +249,11 @@ class Watchdog:
 
         A machine armed at sample ``a`` is stale from sample ``a +
         timeout + 1`` on.  The trip is stamped with that sample, so it
-        does not depend on when the check runs: the DSP core asks
-        before each event the armed machine takes and at each chunk's
-        last sample, so the reset lands at that sample at every
-        chunking.
+        does not depend on when the check runs: the machine asks in
+        :meth:`repro.hw.trigger.TriggerStateMachine.expire`, which
+        runs before each event it takes while armed and at each
+        chunk's last sample, so the reset lands at that sample at
+        every chunking.
         """
         timeout = self.config.rearm_timeout_samples
         if timeout == 0:

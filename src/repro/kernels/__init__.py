@@ -5,8 +5,8 @@ The bit-exact compute layer under the detector facades:
 * :mod:`repro.kernels.xcorr` — the sign-bit cross-correlator over
   1..K coefficient banks as one windowed GEMM on an interleaved sign
   plane, comparing in the GEMM dtype against clamped thresholds
-  (one trigger kernel for a stream chunk or a chained batch), plus
-  the one rising-edge helper every trigger plane goes through;
+  (one trigger kernel for a stream chunk or a batch of Fig. 6/7 rows),
+  plus the one rising-edge helper every trigger plane goes through;
 * :mod:`repro.kernels.energy` — the exact energy and moving-sum
   kernels of the streaming energy differentiator;
 * :mod:`repro.kernels.ops` — the choke point for the remaining raw
@@ -26,24 +26,19 @@ from repro.kernels.energy import (
     moving_sums,
 )
 from repro.kernels.xcorr import (
-    StackedBatchResult,
     StackedCoefficients,
-    chained_edges,
     clamped_thresholds,
     edge_mask,
     metric_ceiling,
     prepare_coefficients,
     sign_plane,
     xcorr_detect,
-    xcorr_detect_batch,
     xcorr_metric,
 )
 
 __all__ = [
     "EXACT_SUM_LENGTH",
-    "StackedBatchResult",
     "StackedCoefficients",
-    "chained_edges",
     "clamped_thresholds",
     "edge_mask",
     "energies",
@@ -52,6 +47,5 @@ __all__ = [
     "prepare_coefficients",
     "sign_plane",
     "xcorr_detect",
-    "xcorr_detect_batch",
     "xcorr_metric",
 ]

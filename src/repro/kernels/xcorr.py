@@ -50,8 +50,8 @@ Only :func:`xcorr_metric`, for callers that want the metric itself,
 casts to int64.
 
 **Edges.**  :func:`edge_mask` is the one rising-edge helper: the DSP
-core runs it once per chunk over its stacked trigger plane, and
-:func:`chained_edges` runs it over chained batch rows.
+core runs it once per chunk over its stacked trigger plane, and the
+false-alarm calibration once per chunk of noise.
 
 The large intermediates live in grow-only module scratch buffers: they
 are hundreds of kilobytes, which glibc serves via mmap and hands back
@@ -117,7 +117,7 @@ class StackedCoefficients:
             bound, else float64 (both are exact; see module docstring).
         block: Windows per GEMM row ``S``.
         band: ``(2(S + T - 1), 2K * S)`` band, ``gemm_dtype``, with
-            flattened column index ``(c * K + k) * S + j`` for
+            flattened column index ``2 * (k * S + j) + c`` for
             component ``c`` of bank ``k`` in window ``j``.
     """
 
@@ -190,13 +190,13 @@ def _prepare(banks) -> StackedCoefficients:
 
     block = _windows_per_row(n_banks)
     span = 2 * (block + taps - 1)
-    # band[tau, c, k, j] = stacked[tau - 2j, 2k + c] where defined:
+    # band[tau, k, j, c] = stacked[tau - 2j, 2k + c] where defined:
     # window j of a GEMM row starts j pairs into the row's span.
     offsets = np.arange(span)[:, None] - 2 * np.arange(block)[None, :]
     clipped = offsets.clip(0, 2 * taps - 1)
     in_band = (offsets >= 0) & (offsets < 2 * taps)
     band = np.where(in_band[:, :, None], stacked[clipped], 0)
-    band = band.reshape(span, block, n_banks, 2).transpose(0, 3, 2, 1)
+    band = band.reshape(span, block, n_banks, 2).transpose(0, 2, 1, 3)
 
     return StackedCoefficients(
         taps=taps,
@@ -271,58 +271,6 @@ def edge_mask(trigger: np.ndarray, last,
     return out
 
 
-def chained_edges(trigger: np.ndarray, lengths: np.ndarray,
-                  last=False) -> np.ndarray:
-    """Rising edges over batch rows chained as one stream.
-
-    ``trigger`` is ``(batch, ..., width)``.  Row ``b``'s predecessor
-    for column 0 is the last *valid* trigger of row ``b - 1`` (``last``
-    for row 0, broadcast over the middle axes), exactly as if the rows
-    had been fed through a streaming detector back to back.  Columns at
-    or beyond each row's valid length are masked off.
-    """
-    batch, width = trigger.shape[0], trigger.shape[-1]
-    previous = np.empty(trigger.shape[:-1], dtype=bool)
-    previous[0] = last
-    if batch > 1:
-        if _equal_lengths(lengths):
-            previous[1:] = trigger[:-1, ..., lengths[0] - 1]
-        else:
-            previous[1:] = trigger[np.arange(batch - 1), ...,
-                                   lengths[:-1] - 1]
-    edges = edge_mask(trigger, previous)
-    if np.any(lengths < width):
-        row_lengths = lengths.reshape((batch,) + (1,) * (trigger.ndim - 1))
-        edges &= np.arange(width) < row_lengths
-    return edges
-
-
-def _equal_lengths(lengths: np.ndarray) -> bool:
-    """Whether every row but the last has the same length.
-
-    Then each row's predecessor tail sits at one column offset and a
-    slice copies all of them at once instead of a per-row gather.
-    """
-    return bool(np.all(lengths[1:-1] == lengths[0]))
-
-
-@dataclass(frozen=True)
-class StackedBatchResult:
-    """Chained batch detection result over ``K`` banks.
-
-    ``trigger``/``edge_plane`` are ``(batch, K, width)``; columns past
-    a row's length are meaningless in ``trigger`` and already masked in
-    ``edge_plane``.  ``history`` (shared across banks) and ``last``
-    (``(K,)`` bools) are the carry-out stream state, ready to seed the
-    next :func:`xcorr_detect_batch` call.
-    """
-
-    trigger: np.ndarray
-    edge_plane: np.ndarray
-    history: np.ndarray
-    last: np.ndarray
-
-
 def _correlate(plane: np.ndarray, coeffs: StackedCoefficients
                ) -> tuple[np.ndarray, tuple[int, ...], int]:
     """Squared correlation of every window, in ``coeffs.gemm_dtype``.
@@ -364,12 +312,14 @@ def _correlate(plane: np.ndarray, coeffs: StackedCoefficients
     gemm = _scratch("gemm", dtype, m * width).reshape(m, width)
     np.matmul(windows, coeffs.band, out=gemm)
 
-    # Columns are (component, bank, window): square in place and add
-    # the components.
+    # Columns are (bank, window, component): square in place and add
+    # each adjacent pair.  The components sit side by side so that the
+    # add is one 1-D pass: numpy allocates a buffer on every call for a
+    # 2-D add over two strided halves.
     np.square(gemm, out=gemm)
-    corr = gemm.reshape(m, 2, k * s)
+    pairs = gemm.reshape(-1)
     summed = _scratch("summed", dtype, m * k * s)
-    np.add(corr[:, 0], corr[:, 1], out=summed.reshape(m, k * s))
+    np.add(pairs[0::2], pairs[1::2], out=summed)
     return summed.reshape(rows, per_row, k, s), lead, n
 
 
@@ -441,70 +391,3 @@ def xcorr_detect(plane: np.ndarray, coeffs: StackedCoefficients,
         np.greater(grid[:, :, whole, :rest], limits[:, None],
                    out=rows_out[..., whole * s:])
     return out
-
-
-def xcorr_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
-                       coeffs: StackedCoefficients,
-                       thresholds: np.ndarray,
-                       history: np.ndarray | None = None,
-                       last: np.ndarray | None = None
-                       ) -> StackedBatchResult:
-    """Run a batch of chained sample rows through the fused detector.
-
-    ``blocks`` is ``(batch, width)`` complex with row ``b`` valid
-    through ``lengths[b]`` (rows may be zero-padded to the common
-    width).  Rows are *chained*: each row's sign history is stitched
-    from the previous row's valid tail, so the ``(batch, K, width)``
-    planes are byte-identical to feeding the rows one by one through
-    :func:`xcorr_detect` — tests pin this; one stitched plane then
-    runs through that same kernel.  ``history``
-    (``(2 * (taps - 1),)`` int8) and ``last`` (``(K,)``) seed the chain
-    and come back updated in the result.
-    """
-    limits = clamped_thresholds(coeffs, thresholds)
-    if last is None:
-        last = np.zeros(coeffs.n_banks, dtype=bool)
-    blocks = np.asarray(blocks)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if blocks.ndim != 2 or lengths.shape != (blocks.shape[0],):
-        raise StreamError("expected (batch, width) blocks with one "
-                          "length per row")
-    if np.any(lengths < 1) or np.any(lengths > blocks.shape[1]):
-        raise StreamError("row lengths must be in [1, width]")
-    batch, width = blocks.shape
-    pairs = coeffs.history_pairs
-    if history is None:
-        history = np.zeros(2 * pairs, dtype=np.int8)
-
-    plane = np.empty((batch, 2 * (pairs + width)), dtype=np.int8)
-    sign_plane(blocks, out=plane[:, 2 * pairs:])
-    # Stitch each row's history from the previous row's valid tail:
-    # the last 2*pairs entries of [history | row] live at plane
-    # columns [2L, 2L + 2*pairs).  A row shorter than the history
-    # depth reaches into its own stitched prefix, so the gather source
-    # must already be final — fall back to a sequential stitch there.
-    plane[0, :2 * pairs] = history
-    if batch > 1 and pairs:
-        if np.all(lengths[:-1] >= pairs):
-            if _equal_lengths(lengths):
-                start = 2 * lengths[0]
-                plane[1:, :2 * pairs] = plane[:-1, start:start + 2 * pairs]
-            else:
-                cols = 2 * lengths[:-1, None] \
-                    + np.arange(2 * pairs)[None, :]
-                plane[1:, :2 * pairs] = np.take_along_axis(
-                    plane[:-1], cols, axis=1)
-        else:
-            for b in range(1, batch):
-                start = 2 * lengths[b - 1]
-                plane[b, :2 * pairs] = \
-                    plane[b - 1, start:start + 2 * pairs]
-
-    trigger = xcorr_detect(plane, coeffs, limits)
-    tail_start = 2 * lengths[-1]
-    return StackedBatchResult(
-        trigger=trigger,
-        edge_plane=chained_edges(trigger, lengths, last),
-        history=plane[-1, tail_start:tail_start + 2 * pairs].copy(),
-        last=trigger[-1, :, lengths[-1] - 1].copy(),
-    )

@@ -40,7 +40,7 @@ class TestCommands:
         reply = console.execute("trigger energy-rise xcorr window 250")
         assert "ENERGY_HIGH -> XCORR" in reply
         fsm = console.device.core.fsm
-        assert [s.source for s in fsm.stages] == [
+        assert fsm.stages == [
             TriggerSource.ENERGY_HIGH, TriggerSource.XCORR]
         assert fsm.window_samples == 250
 

@@ -143,7 +143,7 @@ class TestEventBuilder:
         (JammingEventBuilder()
          .on_energy_rise().on_correlation().within_samples(500)
          .program(driver))
-        assert [s.source for s in device.core.fsm.stages] == [
+        assert device.core.fsm.stages == [
             TriggerSource.ENERGY_HIGH, TriggerSource.XCORR]
         assert device.core.fsm.window_samples == 500
 

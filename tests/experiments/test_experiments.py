@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import units
+from repro.channel.awgn import awgn
 from repro.core.coeffs import (
     wifi_long_preamble_template,
     wifi_short_preamble_template,
@@ -29,7 +31,11 @@ from repro.experiments.table1 import format_table, measure_insertion_losses
 from repro.experiments.timelines import jamming_timelines, measure_response_time
 from repro.experiments.wifi_jamming import WifiJammingTestbed
 from repro.experiments.wimax_jamming import run_experiment
-from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
+from repro.hw.cross_correlator import (
+    METRIC_MAX,
+    CrossCorrelator,
+    quantize_coefficients,
+)
 from repro.hw.energy_differentiator import DEFAULT_DELAY, EnergyDifferentiator
 from tests.experiments import oracles
 from tests.experiments.oracles import (
@@ -231,33 +237,60 @@ class TestBatchedTrialIdentity:
                 == uniform.uniform(0.0, 2.0 * np.pi)
         assert scaled.bit_generator.state == uniform.bit_generator.state
 
-    def test_false_alarm_rate_matches_streaming_facade(self, rng):
-        """The chained batch calibration equals detect()+rising_edges."""
-        template = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
-        ci, cq = quantize_coefficients(template)
-        threshold = threshold_for_false_alarm_rate(ci, cq, 3000.0)
+    @pytest.mark.parametrize("seed", [424242, 7])
+    @pytest.mark.parametrize("chunk_samples", [1000, 24_593, 1 << 16])
+    @pytest.mark.parametrize("n_banks, never_fires", [
+        pytest.param(1, None, id="one-bank"),
+        pytest.param(4, None, id="four-banks"),
+        pytest.param(4, 2, id="four-banks-one-never-fires"),
+    ])
+    def test_false_alarm_rate_matches_streaming_facade(
+            self, seed, chunk_samples, n_banks, never_fires):
+        """The calibration equals a fresh correlator's detect() and
+        per-bank rising edges streamed from reset state, and leaves the
+        caller's correlator, history and banks, as it was."""
+        template_rng = np.random.default_rng(11)
+        banks = [quantize_coefficients(
+            np.exp(1j * template_rng.uniform(0, 2 * np.pi, 64)))
+            for _ in range(n_banks)]
+        thresholds = [threshold_for_false_alarm_rate(ci, cq, 3000.0)
+                      for ci, cq in banks]
+        if never_fires is not None:
+            thresholds[never_fires] = METRIC_MAX
         duration_s = 0.01
-        seed = 424242
 
-        batched = measured_false_alarm_rate(
-            CrossCorrelator(ci, cq, threshold=threshold), duration_s,
-            np.random.default_rng(seed), chunk_samples=1 << 16)
+        caller = CrossCorrelator()
+        caller.load_banks(banks, thresholds)
+        caller.detect(awgn(500, 1.0, np.random.default_rng(seed + 1)))
+        history = caller.history
+        prepared = caller.prepared_coefficients
+        measured = measured_false_alarm_rate(
+            caller, duration_s, np.random.default_rng(seed),
+            chunk_samples=chunk_samples)
+        np.testing.assert_array_equal(caller.history, history)
+        assert caller.prepared_coefficients is prepared
+        np.testing.assert_array_equal(caller.thresholds, thresholds)
+        for k, (ci, cq) in enumerate(banks):
+            np.testing.assert_array_equal(caller.bank_coefficients(k),
+                                          (ci, cq))
 
-        from repro import units
-        from repro.channel.awgn import awgn
-
-        corr = CrossCorrelator(ci, cq, threshold=threshold)
+        corr = CrossCorrelator()
+        corr.load_banks(banks, thresholds)
         stream_rng = np.random.default_rng(seed)
         remaining = int(duration_s * units.BASEBAND_RATE)
-        triggers = 0
-        last = False
+        triggers = np.zeros(n_banks, dtype=np.int64)
+        last = np.zeros(n_banks, dtype=bool)
         while remaining > 0:
-            n = min(1 << 16, remaining)
-            (trig,) = corr.detect(awgn(n, 1.0, stream_rng))
-            triggers += rising_edges(trig, last).size
-            last = bool(trig[-1])
+            n = min(chunk_samples, remaining)
+            trigger = corr.detect(awgn(n, 1.0, stream_rng))
+            for k in range(n_banks):
+                triggers[k] += rising_edges(trigger[k], last[k]).size
+            last = trigger[:, -1].copy()
             remaining -= n
-        assert batched == triggers / duration_s
+        if never_fires is not None:
+            assert triggers[never_fires] == 0
+        assert triggers.sum() > 0
+        assert measured == triggers.sum() / duration_s
 
 
 class TestEnergyTrialState:

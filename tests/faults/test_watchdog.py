@@ -162,18 +162,19 @@ class TestRearmTimeout:
                                "re-armed after 1001 samples")
 
 
-def _rearm_capture(n: int = 4500) -> np.ndarray:
+def _rearm_capture(n: int = 4500, preamble: bool = True) -> np.ndarray:
     """Faint noise, then from sample 500 steady noise at the short
     preamble's power, with the preamble itself in [1637, 1701): an
     energy rise at 500 and a correlation at 1700, and nothing else
-    that rises."""
+    that rises.  Without the preamble only the rise is left."""
     rng = np.random.default_rng(9)
     template = wifi_short_preamble_template()
     sigma = np.sqrt(np.mean(np.abs(template) ** 2) / 2)
     rx = 1e-6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     rx[500:] = sigma * (rng.standard_normal(n - 500)
                         + 1j * rng.standard_normal(n - 500))
-    rx[1637:1701] = template
+    if preamble:
+        rx[1637:1701] = template
     return rx
 
 
@@ -215,6 +216,44 @@ class TestRearmDeadline:
             Watchdog(WatchdogConfig(rearm_timeout_samples=1000)))
         report = jammer.run(self.RX, chunk_size=chunk)
         assert report.jams == []
+        assert [(trip.time, trip.reason)
+                for trip in report.health.watchdog_trips] == [
+            (1501, TRIP_REARM_TIMEOUT)]
+
+
+class TestWindowEndsTheArm:
+    """The same two-stage trigger on the capture without its preamble:
+    the rise at 500 arms the FSM and nothing completes the sequence.
+    A 500-sample window lets the arm go at 1001, before a 1000-sample
+    re-arm timeout elapses (1501), so the watchdog has nothing to do;
+    a timeout shorter than the window still ends the arm, and trips,
+    where it elapses.  Neither depends on the chunking."""
+
+    RX = _rearm_capture(preamble=False)
+
+    def _run(self, window: int, chunk: int):
+        jammer = _rearm_jammer(
+            JammingEventBuilder().on_energy_rise().on_correlation()
+            .within_samples(window),
+            Watchdog(WatchdogConfig(rearm_timeout_samples=1000)))
+        return jammer.run(self.RX, chunk_size=chunk)
+
+    def test_premise(self):
+        report = self._run(500, self.RX.size)
+        assert [(d.time, d.source) for d in report.detections
+                if d.source is not TriggerSource.ENERGY_LOW] == [
+            (500, TriggerSource.ENERGY_HIGH)]
+
+    @pytest.mark.parametrize("chunk", [256, 1024, RX.size])
+    def test_lapsed_window_records_no_trip(self, chunk):
+        report = self._run(500, chunk)
+        assert report.jams == []
+        assert report.health.watchdog_trips == []
+        assert not report.health.degraded
+
+    @pytest.mark.parametrize("chunk", [256, 1024, RX.size])
+    def test_shorter_timeout_trips_where_it_elapses(self, chunk):
+        report = self._run(2000, chunk)
         assert [(trip.time, trip.reason)
                 for trip in report.health.watchdog_trips] == [
             (1501, TRIP_REARM_TIMEOUT)]

@@ -188,26 +188,35 @@ def _plan_builds(device) -> tuple[int, int, int]:
 
 def test_steady_usrp_chunk_plans_once_and_allocates_nothing_chunk_sized():
     """``UsrpN210.process`` on 8192-sample chunks into a run-owned
-    transmit buffer, the correlator silent and the energy trigger
-    sending WGN bursts: after the first chunk no block builds a plan
-    (nor grows its baseband buffer), and 16 more chunks allocate less
-    than a quarter of one chunk's complex128 bytes at their peak (a
-    fresh quantizer output alone is all of them)."""
+    transmit buffer, the correlator silent and then live, and the
+    energy trigger sending WGN bursts: after the first chunk no block
+    builds a plan (nor grows its baseband buffer), and 16 more chunks
+    allocate less than a quarter of one chunk's complex128 bytes at
+    their peak (a fresh quantizer output alone is all of them)."""
     n = 8192
     rx = _stream(17 * n)
-    device = UsrpN210()
-    tx = np.zeros(rx.size, dtype=np.complex128)
-    device.process(rx[:n], tx_out=tx[:n])
-    builds = _plan_builds(device)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        for start in range(n, rx.size, n):
-            device.process(rx[start:start + n], tx_out=tx[start:start + n])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert _plan_builds(device) == builds
-    assert peak - base < 16 * n // 4
-    assert device.core.jam_count
+    for live in (False, True):
+        device = UsrpN210()
+        if live:
+            driver = UhdDriver(device)
+            driver.set_correlator_template(_TEMPLATES[0])
+            driver.set_xcorr_threshold(_LIVE)
+        tx = np.zeros(rx.size, dtype=np.complex128)
+        device.process(rx[:n], tx_out=tx[:n])
+        builds = _plan_builds(device)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for start in range(n, rx.size, n):
+                device.process(rx[start:start + n],
+                               tx_out=tx[start:start + n])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _plan_builds(device) == builds
+        assert peak - base < 16 * n // 4
+        assert device.core.jam_count
+        assert device.core.correlator.silent is not live
+        assert bool(device.core.detection_counts[TriggerSource.XCORR]) \
+            is live

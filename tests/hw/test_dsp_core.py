@@ -73,7 +73,7 @@ class TestRegisterPlane:
                 | (int(TriggerSource.XCORR) << regmap.STAGE_SOURCE_BITS))
         core.bus.write(regmap.REG_TRIGGER_WINDOW, 50)
         core.bus.write(regmap.REG_TRIGGER_CONFIG, word)
-        assert [s.source for s in core.fsm.stages] == [
+        assert core.fsm.stages == [
             TriggerSource.ENERGY_HIGH, TriggerSource.XCORR]
 
     def test_trigger_any_mode_bit(self):

@@ -12,6 +12,7 @@ from repro.hw.trigger import (
     TriggerStateMachine,
 )
 from repro.kernels import edge_mask
+from repro.telemetry.tracer import RingTracer
 
 X = TriggerSource.XCORR
 EH = TriggerSource.ENERGY_HIGH
@@ -93,6 +94,18 @@ class TestSequentialStages:
         jams = fsm.process_events([(0, EH), (100, EH), (120, X)])
         assert jams == [120]
 
+    def test_expire_ends_the_arm_where_the_window_ran_out(self):
+        fsm = TriggerStateMachine([EH, X], window_samples=100)
+        fsm.tracer = RingTracer()
+        fsm.process_events([(10, EH)])
+        fsm.expire(110)
+        assert fsm.armed_since == 10
+        fsm.expire(5000)
+        assert fsm.armed_since is None
+        events = [(event.name, event.sample)
+                  for event in fsm.tracer.events()]
+        assert events == [("fsm.arm", 10), ("fsm.expire", 111)]
+
     def test_wrong_source_does_not_advance(self):
         fsm = TriggerStateMachine([EH, X], window_samples=100)
         jams = fsm.process_events([(0, EH), (10, EL), (20, X)])
@@ -136,4 +149,4 @@ class TestValidation:
 
     def test_stage_listing(self):
         fsm = TriggerStateMachine([X, EH], window_samples=5)
-        assert [s.source for s in fsm.stages] == [X, EH]
+        assert fsm.stages == [X, EH]

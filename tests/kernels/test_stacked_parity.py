@@ -13,7 +13,6 @@ also equal the int64 four-pass reference.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.hw.cross_correlator as cross_correlator_module
@@ -23,12 +22,8 @@ from repro.hw.register_map import CORRELATOR_LENGTH
 from repro.hw.uhd import UhdDriver
 from repro.hw.usrp import UsrpN210
 from repro.kernels import (
-    clamped_thresholds,
     edge_mask,
-    prepare_coefficients,
     sign_plane,
-    xcorr_detect,
-    xcorr_detect_batch,
     xcorr_metric,
 )
 from tests.kernels.test_xcorr_kernels import _reference_metric
@@ -133,71 +128,6 @@ class TestStreamingChunkSplits:
         for k in range(n_banks):
             np.testing.assert_array_equal(np.array(collected[k]),
                                           np.flatnonzero(whole_edges[k]))
-
-
-class TestBatchLeg:
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
-           st.integers(1, 4))
-    @settings(max_examples=25, deadline=None)
-    def test_batch_rows_equal_streaming_stacked(self, seed, n_banks,
-                                                batch):
-        rng = np.random.default_rng(seed)
-        banks = [(rng.integers(-4, 4, 8), rng.integers(-4, 4, 8))
-                 for _ in range(n_banks)]
-        stacked = prepare_coefficients(banks)
-        thresholds = rng.integers(0, 200, n_banks)
-        width = 40
-        lengths = rng.integers(1, width + 1, batch)
-        blocks = rng.normal(size=(batch, width)) \
-            + 1j * rng.normal(size=(batch, width))
-
-        result = xcorr_detect_batch(blocks, lengths, stacked, thresholds)
-
-        limits = clamped_thresholds(stacked, thresholds)
-        history = np.zeros(2 * stacked.history_pairs, dtype=np.int8)
-        last = np.zeros(n_banks, dtype=bool)
-        for b in range(batch):
-            row = blocks[b, :lengths[b]]
-            plane = np.concatenate([history, sign_plane(row)])
-            trigger = xcorr_detect(plane, stacked, limits)
-            n = int(lengths[b])
-            np.testing.assert_array_equal(
-                result.trigger[b, :, :n],
-                xcorr_metric(plane, stacked) > thresholds[:, None])
-            np.testing.assert_array_equal(result.trigger[b, :, :n], trigger)
-            np.testing.assert_array_equal(result.edge_plane[b, :, :n],
-                                          edge_mask(trigger, last))
-            history = plane[2 * n:]
-            last = trigger[:, -1].copy()
-        np.testing.assert_array_equal(result.history, history)
-        np.testing.assert_array_equal(result.last, last)
-
-    @pytest.mark.parametrize("n_banks", [1, 4])
-    def test_batch_equals_the_streaming_facade(self, n_banks):
-        # Rows of 5 and 3 samples are shorter than the 63-pair history,
-        # so their stitch reaches into earlier rows.
-        rng = np.random.default_rng(n_banks)
-        banks = _make_banks(rng, n_banks)
-        thresholds = rng.integers(0, 3_000, n_banks)
-        lengths = np.array([200, 5, 3, 130, 200, 1], dtype=np.int64)
-        blocks = rng.normal(size=(lengths.size, 200)) \
-            + 1j * rng.normal(size=(lengths.size, 200))
-
-        result = xcorr_detect_batch(blocks, lengths,
-                                    prepare_coefficients(banks), thresholds)
-
-        facade = CrossCorrelator()
-        facade.load_banks(banks, thresholds)
-        last = np.zeros(n_banks, dtype=bool)
-        for b, length in enumerate(lengths):
-            trigger = facade.detect(blocks[b, :length])
-            np.testing.assert_array_equal(result.trigger[b, :, :length],
-                                          trigger)
-            np.testing.assert_array_equal(result.edge_plane[b, :, :length],
-                                          edge_mask(trigger, last))
-            last = trigger[:, -1].copy()
-        np.testing.assert_array_equal(result.history, facade.history)
-        np.testing.assert_array_equal(result.last, last)
 
 
 #: seed, bank count, and per chunk: its size and a mask of the banks

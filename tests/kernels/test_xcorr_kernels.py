@@ -2,8 +2,8 @@
 
 The ground truth throughout is the seed model's four-pass
 ``np.correlate`` evaluation over the sign-sliced stream (and an int64
-brute force straight off Fig. 3); the fused and batched kernels must
-reproduce it byte-for-byte, for any chunking of the same stream.  The
+brute force straight off Fig. 3); the fused kernel must reproduce it
+byte-for-byte, for any chunking of the same stream.  The
 one-bank case is the K=1 case of the one K-bank kernel.
 """
 
@@ -22,7 +22,6 @@ from repro.kernels import (
     prepare_coefficients,
     sign_plane,
     xcorr_detect,
-    xcorr_detect_batch,
     xcorr_metric,
 )
 
@@ -264,131 +263,6 @@ class TestClampedCompare:
         assert limits.tolist() == [5, prepared.ceilings[1]]
         with pytest.raises(ConfigurationError):
             clamped_thresholds(prepared, [5])
-
-
-class TestXcorrDetectBatch:
-    def _stream_reference(self, rows, lengths, prepared, threshold):
-        """Feed the rows one by one through the streaming kernel."""
-        pairs = prepared.history_pairs
-        limits = clamped_thresholds(prepared, [threshold])
-        history = np.zeros(2 * pairs, dtype=np.int8)
-        last = np.zeros(1, dtype=bool)
-        triggers, edge_counts = [], []
-        for row, length in zip(rows, lengths):
-            chunk = row[:length]
-            plane = _plane_with_history(chunk, pairs, history)
-            trigger = xcorr_detect(plane, prepared, limits)
-            history = plane[2 * chunk.size:].copy()
-            edge_counts.append(int(edge_mask(trigger, last).sum()))
-            last = trigger[:, -1].copy()
-            triggers.append(trigger[0])
-        return triggers, edge_counts, history, last
-
-    def test_byte_identical_to_streaming(self):
-        rng = np.random.default_rng(6)
-        ci, cq = _random_bank(rng)
-        prepared = _prepare(ci, cq)
-        width = 300
-        lengths = np.array([300, 150, 64, 300, 299], dtype=np.int64)
-        blocks = rng.normal(size=(5, width)) \
-            + 1j * rng.normal(size=(5, width))
-        metric_all = _reference_metric(
-            np.concatenate([blocks[b, :lengths[b]] for b in range(5)]),
-            ci, cq)
-        threshold = int(np.percentile(metric_all, 85))
-
-        result = xcorr_detect_batch(blocks, lengths, prepared, [threshold])
-        triggers, edge_counts, history, last = self._stream_reference(
-            blocks, lengths, prepared, threshold)
-
-        for b, length in enumerate(lengths):
-            np.testing.assert_array_equal(
-                result.trigger[b, 0, :length], triggers[b])
-            assert int(result.edge_plane[b].sum()) == edge_counts[b]
-        np.testing.assert_array_equal(result.history, history)
-        np.testing.assert_array_equal(result.last, last)
-
-    @pytest.mark.parametrize("lengths", [
-        [300, 300, 300, 300, 300],  # every row full: no length mask
-        [250, 250, 250, 250, 250],  # equal and padded: masked
-        [300, 300, 300, 300, 37],   # equal but the last row
-    ])
-    def test_equal_rows_stitch_by_slice(self, lengths):
-        """Equal-length rows (one slice per carry) match streaming."""
-        rng = np.random.default_rng(9)
-        ci, cq = _random_bank(rng)
-        prepared = _prepare(ci, cq)
-        lengths = np.array(lengths, dtype=np.int64)
-        blocks = rng.normal(size=(5, 300)) \
-            + 1j * rng.normal(size=(5, 300))
-        metric_all = _reference_metric(
-            np.concatenate([blocks[b, :lengths[b]] for b in range(5)]),
-            ci, cq)
-        threshold = int(np.percentile(metric_all, 85))
-        result = xcorr_detect_batch(blocks, lengths, prepared, [threshold])
-        triggers, edge_counts, history, last = self._stream_reference(
-            blocks, lengths, prepared, threshold)
-        for b, length in enumerate(lengths):
-            np.testing.assert_array_equal(
-                result.trigger[b, 0, :length], triggers[b])
-            assert int(result.edge_plane[b].sum()) == edge_counts[b]
-            assert not result.edge_plane[b, :, length:].any()
-        assert sum(edge_counts) > 0
-        np.testing.assert_array_equal(result.history, history)
-        np.testing.assert_array_equal(result.last, last)
-
-    def test_short_rows_fall_back_to_sequential_stitch(self):
-        """Rows shorter than the history depth still chain exactly."""
-        rng = np.random.default_rng(7)
-        ci, cq = _random_bank(rng)
-        prepared = _prepare(ci, cq)
-        lengths = np.array([200, 5, 3, 200], dtype=np.int64)
-        blocks = rng.normal(size=(4, 200)) \
-            + 1j * rng.normal(size=(4, 200))
-        threshold = 100_000
-        result = xcorr_detect_batch(blocks, lengths, prepared, [threshold])
-        triggers, edge_counts, history, last = self._stream_reference(
-            blocks, lengths, prepared, threshold)
-        for b, length in enumerate(lengths):
-            np.testing.assert_array_equal(
-                result.trigger[b, 0, :length], triggers[b])
-            assert int(result.edge_plane[b].sum()) == edge_counts[b]
-        np.testing.assert_array_equal(result.history, history)
-        np.testing.assert_array_equal(result.last, last)
-
-    def test_carry_state_chains_across_calls(self):
-        """Splitting a batch into two calls with carried state is exact."""
-        rng = np.random.default_rng(8)
-        ci, cq = _random_bank(rng)
-        prepared = _prepare(ci, cq)
-        blocks = rng.normal(size=(6, 128)) \
-            + 1j * rng.normal(size=(6, 128))
-        lengths = np.full(6, 128, dtype=np.int64)
-        threshold = [50_000]
-
-        whole = xcorr_detect_batch(blocks, lengths, prepared, threshold)
-        first = xcorr_detect_batch(blocks[:3], lengths[:3], prepared,
-                                   threshold)
-        second = xcorr_detect_batch(blocks[3:], lengths[3:], prepared,
-                                    threshold, history=first.history,
-                                    last=first.last)
-        np.testing.assert_array_equal(
-            np.vstack([first.edge_plane, second.edge_plane]),
-            whole.edge_plane)
-        np.testing.assert_array_equal(second.history, whole.history)
-        np.testing.assert_array_equal(second.last, whole.last)
-
-    def test_rejects_bad_shapes(self):
-        prepared = _prepare([1, 2], [3, 4])
-        with pytest.raises(StreamError):
-            xcorr_detect_batch(np.zeros(8, dtype=complex),
-                               np.array([8]), prepared, [0])
-        with pytest.raises(StreamError):
-            xcorr_detect_batch(np.zeros((2, 8), dtype=complex),
-                               np.array([8, 9]), prepared, [0])
-        with pytest.raises(StreamError):
-            xcorr_detect_batch(np.zeros((2, 8), dtype=complex),
-                               np.array([8, 0]), prepared, [0])
 
 
 #: Small banks keep the brute force cheap while exercising every

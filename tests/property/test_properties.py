@@ -13,7 +13,7 @@ from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
 from repro.hw.energy_differentiator import EnergyDifferentiator
 from repro.hw.registers import pack_signed_fields, unpack_signed_fields
 from repro.hw.trigger import TriggerSource, TriggerStateMachine
-from repro.kernels import chained_edges, edge_mask
+from repro.kernels import edge_mask
 from repro.phy.bits import bits_to_bytes, bytes_to_bits, check_fcs, append_fcs
 from repro.phy.coding import CodeRate, ConvolutionalCode
 from repro.phy.interleaving import deinterleave, interleave
@@ -233,7 +233,3 @@ def test_rising_edges_count_matches_transitions(bits, prev):
     padded = np.concatenate([[prev], trig])
     expected = int(np.sum(~padded[:-1] & padded[1:]))
     assert edges.size == expected
-    # A one-row chained batch is the same stream.
-    np.testing.assert_array_equal(
-        edges, np.flatnonzero(chained_edges(trig[None], np.array([trig.size]),
-                                            prev)[0]))
