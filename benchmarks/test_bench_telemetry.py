@@ -11,11 +11,17 @@ Two guarantees are enforced here rather than in tier-1:
 
 A disabled bundle installs nothing, so both sides of the overhead gate
 run the same per-chunk code and the gate measures what is left: the
-bundle's per-run set-up and whatever the probe points cost.  It is
-judged by the median of 11 interleaved pairs, alternating which side
-goes first, on a capture long enough that one run takes at least
-20 ms, with both sides on one BLAS thread (a 5-chunk run's correlator
-calls could wait milliseconds on a second OpenBLAS thread).
+bundle's per-run set-up and whatever the probe points cost.  Each side
+runs 11 passes, interleaved with the other side's and alternating which
+goes first, over a capture long enough that one run takes at least
+20 ms, on one BLAS thread (a 5-chunk run's correlator calls could wait
+milliseconds on a second OpenBLAS thread).  The passes are folded as
+the end-to-end harness folds them (``benchmarks/e2e/README.md``, "How
+passes are folded"): each chunk counts with its fastest time and the
+time between chunks with its fastest pass.  A neighbour on a shared
+host slows whole runs, which swung single pair ratios from 0.72 to
+1.65; a fold keeps each chunk's quiet moment, and work either side
+does on every pass still shows in full.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ import time
 import numpy as np
 import pytest
 
+from benchmarks.e2e.harness import OpLatency, _pass_times
+from benchmarks.e2e.tracing import StageTracer
 from repro import units
 from repro.channel.combining import Transmission, mix_at_port
 from repro.core.coeffs import wifi_short_preamble_template
@@ -41,8 +49,9 @@ FRAME_STARTS = [2500, 15000, 27500]
 #: Allowed slowdown of the disabled-telemetry path vs no telemetry.
 MAX_DISABLED_OVERHEAD = 0.02
 
-#: Interleaved (no telemetry, disabled) pairs the overhead gate times.
-OVERHEAD_PAIRS = 11
+#: Interleaved passes of each side (no telemetry, disabled) the
+#: overhead gate folds.
+OVERHEAD_PASSES = 11
 
 #: Shortest run the overhead gate times, in milliseconds; the capture
 #: repeats until one run with no telemetry takes at least this long.
@@ -111,50 +120,72 @@ def test_bench_telemetry_fig5(benchmark, telemetry_record):
     }
 
 
-def _timed_run(jammer: ReactiveJammer, rx: np.ndarray) -> int:
-    start = time.perf_counter_ns()
-    jammer.run(rx, chunk_size=8192)
-    return time.perf_counter_ns() - start
+class _TimedJammer:
+    """A jammer whose chunks are timed pass by pass
+    (``UsrpN210.process`` calls, as the end-to-end harness times
+    them)."""
+
+    def __init__(self, telemetry: Telemetry | None) -> None:
+        self.jammer = _configured_jammer(telemetry)
+        timer = StageTracer()
+        timer.wrap(self.jammer.device, "process", "chunk",
+                   keep_durations=True)
+        self.latency = OpLatency(timer.stages["chunk"].durations_ns)
+        self.pass_ns: list[int] = []
+
+    def run(self, rx: np.ndarray, timed: bool = True) -> int:
+        """One pass over ``rx``; its wall time, kept if ``timed``."""
+        start = time.perf_counter_ns()
+        self.jammer.run(rx, chunk_size=8192)
+        elapsed = time.perf_counter_ns() - start
+        self.latency.end_pass(keep=timed)
+        if timed:
+            self.pass_ns.append(elapsed)
+        return elapsed
+
+    def folded_ms(self) -> float:
+        """The pass time folded from the fastest chunks and gaps."""
+        pass_s, _chunks_us = _pass_times(self.pass_ns, self.latency)
+        return pass_s * 1e3
 
 
 @pytest.mark.perf
 def test_bench_telemetry_disabled_overhead(telemetry_record):
-    baseline = _configured_jammer(None)
-    disabled = _configured_jammer(Telemetry.disabled())
+    baseline = _TimedJammer(None)
+    disabled = _TimedJammer(Telemetry.disabled())
     with one_blas_thread() as blas_threads:
         # A 5-chunk run took a few milliseconds, short against the
         # host's scheduling noise: repeat the capture until one run
         # takes MIN_RUN_MS.
         rx = _wifi_capture()
-        baseline.run(rx, chunk_size=8192)  # warm the code and buffers
-        while _timed_run(baseline, rx) < MIN_RUN_MS * 1_000_000:
+        baseline.run(rx, timed=False)  # warm the code and buffers
+        while baseline.run(rx, timed=False) < MIN_RUN_MS * 1_000_000:
             rx = np.concatenate([rx, rx])
-        disabled.run(rx, chunk_size=8192)
-        baseline.run(rx, chunk_size=8192)
+        disabled.run(rx, timed=False)
+        baseline.run(rx, timed=False)
 
-        ratios = []
-        for pair in range(OVERHEAD_PAIRS):
+        for index in range(OVERHEAD_PASSES):
             # Alternate which side goes first, so a drift in host load
             # favours neither.
-            if pair % 2:
-                disabled_ns = _timed_run(disabled, rx)
-                baseline_ns = _timed_run(baseline, rx)
-            else:
-                baseline_ns = _timed_run(baseline, rx)
-                disabled_ns = _timed_run(disabled, rx)
-            ratios.append(disabled_ns / baseline_ns)
+            first, second = ((disabled, baseline) if index % 2
+                             else (baseline, disabled))
+            first.run(rx)
+            second.run(rx)
 
-    # The two runs of a pair are adjacent in time, so background load
-    # cancels within it, and the median pair is immune to a few noisy
-    # pairs; aggregate minima or means are not.
-    overhead = sorted(ratios)[len(ratios) // 2] - 1.0
+    folded = {"baseline": baseline.folded_ms(),
+              "disabled": disabled.folded_ms()}
+    overhead = folded["disabled"] / folded["baseline"] - 1.0
     print(f"\nTelemetry — disabled-path overhead: {overhead * 100:+.2f}% "
-          f"(median of {OVERHEAD_PAIRS} paired ratios, "
-          f"{rx.size} samples per run)")
+          f"(folded over {OVERHEAD_PASSES} interleaved passes per side: "
+          f"baseline {folded['baseline']:.2f} ms, disabled "
+          f"{folded['disabled']:.2f} ms, {rx.size} samples per run)")
     telemetry_record["disabled_overhead"] = {
         "samples_per_run": int(rx.size),
         "blas_threads": blas_threads,
-        "ratios": ratios,
+        "passes": OVERHEAD_PASSES,
+        "folded_ms": folded,
+        "pass_ms": {"baseline": [ns / 1e6 for ns in baseline.pass_ns],
+                    "disabled": [ns / 1e6 for ns in disabled.pass_ns]},
         "overhead_fraction": overhead,
         "limit_fraction": MAX_DISABLED_OVERHEAD,
     }

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.hw.dsp_core import LEGACY_SLOT
 from repro.hw.trigger import TriggerMode, TriggerSource
 from repro.hw.tx_controller import JamWaveform
 from repro.hw.uhd import UhdDriver
@@ -31,12 +32,12 @@ def _bank_entries(core) -> list[dict]:
     """One entry per live multi-standard bank (none in legacy mode)."""
     entries = []
     for index in range(core.bank_count):
-        coeffs_i, coeffs_q = core.banked.bank_coefficients(index)
+        coeffs_i, coeffs_q, threshold = core.register_file(index)
         entries.append({
-            "label": core.banked.labels[index],
+            "label": core.bank_labels[index],
             "coeffs_i": [int(c) for c in coeffs_i],
             "coeffs_q": [int(c) for c in coeffs_q],
-            "threshold": int(core.banked.thresholds[index]),
+            "threshold": threshold,
         })
     return entries
 
@@ -44,7 +45,7 @@ def _bank_entries(core) -> list[dict]:
 def snapshot_profile(device: UsrpN210, name: str = "unnamed") -> dict:
     """Capture the device's current configuration as a profile dict."""
     core = device.core
-    coeffs_i, coeffs_q = core.correlator.coefficients
+    coeffs_i, coeffs_q, threshold = core.register_file(LEGACY_SLOT)
     return {
         "version": PROFILE_VERSION,
         "name": name,
@@ -56,7 +57,7 @@ def snapshot_profile(device: UsrpN210, name: str = "unnamed") -> dict:
         "detection": {
             "coeffs_i": [int(c) for c in coeffs_i],
             "coeffs_q": [int(c) for c in coeffs_q],
-            "xcorr_threshold": core.correlator.threshold,
+            "xcorr_threshold": threshold,
             "energy_high_db": core.energy.threshold_high_db,
             "energy_low_db": core.energy.threshold_low_db,
             "banks": _bank_entries(core),

@@ -26,13 +26,14 @@ the per-sample math runs in :mod:`repro.kernels` (one GEMM per chunk
 for every bank instead of the four ``np.correlate`` passes the seed
 model used).  :meth:`CrossCorrelator.detect` writes the ``K`` trigger
 rows of the DSP core's stacked trigger plane; rising edges and their
-carries belong to the core.  The core keeps two instances: the paper's
-legacy registers program a one-bank correlator, the bank registers a
-K-bank one.  A correlator none of whose banks can fire
-(:attr:`silent`, the power-on state) skips the kernel and only copies
-the tail of each chunk its sign history keeps; the copied samples are
-signed when the history is next read (a live chunk, :meth:`metric`,
-:attr:`CrossCorrelator.history`), and :meth:`reset` drops them.
+carry belong to the core.  The core keeps one instance and loads it
+from the register file ``REG_BANK_COUNT`` selects: the paper's legacy
+registers as one bank, or ``K`` bank slots.  A correlator none of
+whose banks can fire (:attr:`silent`, the power-on state) skips the
+kernel and only copies the tail of each chunk its sign history keeps;
+the copied samples are signed when the history is next read (a live
+chunk, :meth:`metric`, :attr:`CrossCorrelator.history`), and
+:meth:`reset` drops them.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ class CrossCorrelator:
 
     @property
     def threshold(self) -> int:
-        """Bank 0's threshold, the paper's legacy threshold register."""
+        """Bank 0's threshold (the paper's legacy threshold register
+        while the DSP core runs the legacy file)."""
         return int(self._thresholds[0])
 
     @threshold.setter
@@ -222,9 +224,9 @@ class CrossCorrelator:
         """Load a full bank set: ``K`` ``(coeffs_i, coeffs_q)`` pairs.
 
         Replaces any previous configuration while the shared sign
-        history — received data — is kept.  The DSP core restarts the
-        loaded correlator's trigger carries cleared (as ``K``
-        freshly-reset correlators would).
+        history — received data — is kept.  The DSP core restarts its
+        trigger carry's bank rows cleared (as ``K`` freshly-reset
+        correlators would).
         """
         banks = [_check_bank(ci, cq) for ci, cq in banks]
         if not 1 <= len(banks) <= MAX_BANKS:
@@ -261,7 +263,7 @@ class CrossCorrelator:
                   label: str | None = None) -> None:
         """Hot-swap one bank's coefficients (effective next chunk).
 
-        The sign history (and the core's trigger carries) are
+        The sign history (and the core's trigger carry) are
         untouched — swapping a template does not clear the hardware
         shift register or the comparator output registers.
         """
@@ -270,11 +272,6 @@ class CrossCorrelator:
         if label is not None:
             self.set_label(index, label)
         self._restack()
-
-    def load_coefficients(self, coeffs_i: np.ndarray | None,
-                          coeffs_q: np.ndarray | None) -> None:
-        """Load bank 0, the paper's legacy coefficient registers."""
-        self.load_bank(0, coeffs_i, coeffs_q)
 
     def set_label(self, index: int, label: str) -> None:
         """Rename one bank's host-side protocol label."""

@@ -51,7 +51,11 @@ _XCORR = TriggerSource.XCORR
 _ENERGY_HIGH = TriggerSource.ENERGY_HIGH
 _ENERGY_LOW = TriggerSource.ENERGY_LOW
 
-#: The protocol of the legacy correlator's one bank: none.
+#: The register-file slot the paper's legacy coefficient and threshold
+#: registers program, after the ``MAX_BANKS`` bank slots.
+LEGACY_SLOT = regmap.MAX_BANKS
+
+#: The protocol of the legacy slot's one bank: none.
 _LEGACY_PROTOCOLS = (None,)
 
 
@@ -62,7 +66,7 @@ class DetectionEvent:
     ``protocol`` names the correlator bank that fired when the core
     runs in multi-standard mode (the ``which_protocol`` telemetry
     dimension); it is ``None`` for energy detections and for the
-    legacy correlator.
+    legacy register file.
     """
 
     time: int
@@ -88,32 +92,30 @@ class CustomDspCore:
         #: Optional in-fabric watchdog (duty guard, re-arm timeout,
         #: safe state).  ``None`` reproduces the unguarded core.
         self.watchdog = watchdog
-        # The two correlators behind the ``correlator`` and ``banked``
-        # properties; the same instances for the core's lifetime.
+        # The one correlator, the same instance for the core's
+        # lifetime; ``REG_BANK_COUNT`` loads it from the register file.
         self._correlator = CrossCorrelator()
-        self._banked = CrossCorrelator()
-        # Coefficient words latch: a write stores its word and marks
-        # the legacy correlator or its live bank stale, and the stale
-        # words are loaded once, before the next chunk or the next read
-        # of either correlator (``_apply_latched_words``).
-        self._legacy_words_stale = False
-        self._stale_banks: set[int] = set()
-        #: Host-side protocol names for the banked correlator; strings
-        #: cannot cross the register bus, so the host (driver) sets
-        #: them directly before programming the bank count.
+        # The register file: per slot (the bank slots, then
+        # LEGACY_SLOT) the coefficient words and the threshold.  The
+        # windowed bank words land in the *selected* bank's slot.  The
+        # power-on threshold, METRIC_MAX, never fires (the trigger
+        # needs metric > threshold).
+        slots = LEGACY_SLOT + 1
+        self._words_i = [[0] * regmap.COEFF_WORDS for _ in range(slots)]
+        self._words_q = [[0] * regmap.COEFF_WORDS for _ in range(slots)]
+        self._thresholds = np.full(slots, METRIC_MAX, dtype=np.int64)
+        # The slots loaded into the correlator, in bank order.  A word
+        # written to one of them marks it stale, and stale slots are
+        # loaded once, before the next chunk or the next read of the
+        # correlator (``_apply_latched_words``).
+        self._live_slots: tuple[int, ...] = (LEGACY_SLOT,)
+        self._stale_slots: set[int] = set()
+        #: Host-side protocol names for the banks; strings cannot cross
+        #: the register bus, so the host (driver) sets them directly
+        #: before programming the bank count.
         self.bank_labels = list(DEFAULT_BANK_LABELS)
         self._bank_count = 0
         self._bank_select = 0
-        # Per-bank coefficient shadow storage behind the windowed
-        # write path: words latch into the *selected* bank's slot.
-        self._bank_words_i = [[0] * regmap.COEFF_WORDS
-                              for _ in range(regmap.MAX_BANKS)]
-        self._bank_words_q = [[0] * regmap.COEFF_WORDS
-                              for _ in range(regmap.MAX_BANKS)]
-        # METRIC_MAX never fires (the trigger needs metric > threshold),
-        # matching the legacy correlator's quiet power-on default.
-        self._bank_thresholds = np.full(regmap.MAX_BANKS, METRIC_MAX,
-                                        dtype=np.int64)
         self._protocol_registry = None
         self._protocol_counters: dict[str, object] = {}
         self.energy = EnergyDifferentiator()
@@ -124,12 +126,10 @@ class CustomDspCore:
         #: :mod:`repro.telemetry` — opt-in observability).
         self._tracer: Tracer = NULL_TRACER
         self._clock = 0  # absolute index of the next sample to process
-        # One trigger carry per correlator: the last column of its K
-        # bank rows and of the two energy rows, from the previous chunk
-        # that correlator ran.  The energy part follows the data path
-        # across a bank-count switch (``_set_bank_count``).
-        self._legacy_carry = np.zeros(3, dtype=bool)
-        self._banked_carry = np.zeros(3, dtype=bool)
+        # The trigger carry: the last column of the correlator's K bank
+        # rows and of the two energy rows, from the previous chunk.  A
+        # bank-count write restarts the bank rows (``_set_bank_count``).
+        self._carry = np.zeros(3, dtype=bool)
         # The (K + 2, n) trigger plane and its edge mask share one
         # scratch; a plan per (chunk length, bank set) holds the views.
         self._planes = ScratchBuffer(np.bool_)
@@ -147,11 +147,20 @@ class CustomDspCore:
 
     def _wire_registers(self) -> None:
         for offset in range(regmap.COEFF_WORDS):
-            self.bus.watch(regmap.REG_COEFF_I_BASE + offset,
-                           self._latch_legacy_word)
-            self.bus.watch(regmap.REG_COEFF_Q_BASE + offset,
-                           self._latch_legacy_word)
-        self.bus.watch(regmap.REG_XCORR_THRESHOLD, self._set_xcorr_threshold)
+            for base, bank_base, words in (
+                    (regmap.REG_COEFF_I_BASE, regmap.REG_BANK_COEFF_I_BASE,
+                     self._words_i),
+                    (regmap.REG_COEFF_Q_BASE, regmap.REG_BANK_COEFF_Q_BASE,
+                     self._words_q)):
+                self.bus.watch(base + offset,
+                               self._coeff_watch(words, offset, legacy=True))
+                self.bus.watch(bank_base + offset,
+                               self._coeff_watch(words, offset, legacy=False))
+        self.bus.watch(regmap.REG_XCORR_THRESHOLD,
+                       self._threshold_watch(LEGACY_SLOT))
+        for index in range(regmap.MAX_BANKS):
+            self.bus.watch(regmap.REG_BANK_THRESHOLD_BASE + index,
+                           self._threshold_watch(index))
         self.bus.watch(regmap.REG_ENERGY_THRESHOLD_HIGH,
                        self._set_energy_high)
         self.bus.watch(regmap.REG_ENERGY_THRESHOLD_LOW,
@@ -168,16 +177,6 @@ class CustomDspCore:
             (regmap.REG_BANK_SELECT, self._set_bank_select),
         ):
             self.bus.watch(address, self._guarded(address, handler))
-        for offset in range(regmap.COEFF_WORDS):
-            self.bus.watch(regmap.REG_BANK_COEFF_I_BASE + offset,
-                           self._bank_coeff_watch(self._bank_words_i,
-                                                  offset))
-            self.bus.watch(regmap.REG_BANK_COEFF_Q_BASE + offset,
-                           self._bank_coeff_watch(self._bank_words_q,
-                                                  offset))
-        for index in range(regmap.MAX_BANKS):
-            self.bus.watch(regmap.REG_BANK_THRESHOLD_BASE + index,
-                           self._bank_threshold_watch(index))
 
     def _guarded(self, address, handler):
         """Route a register decode through the watchdog's safe state.
@@ -201,43 +200,24 @@ class CustomDspCore:
                 self.watchdog.clear_illegal(address)
         return wrapped
 
-    def _latch_legacy_word(self, _value: int) -> None:
-        # The bus holds the word; the correlator loads it when applied.
-        self._legacy_words_stale = True
-
     def _apply_latched_words(self) -> None:
         """Load the coefficient words written since the last apply.
 
-        One ``prepare_coefficients`` per stale correlator bank, however
-        many of its 14 words were written.  A no-op when nothing is
-        pending, which is every chunk outside a reprogramming.
+        One ``prepare_coefficients`` per stale live slot, however many
+        of its 14 words were written.  A no-op when nothing is pending,
+        which is every chunk outside a reprogramming.
         """
-        if self._legacy_words_stale:
-            self._legacy_words_stale = False
-            self._reload_coefficients()
-        if self._stale_banks:
-            stale, self._stale_banks = self._stale_banks, set()
-            for index in sorted(stale):
-                coeffs_i, coeffs_q = self._unpacked_bank(index)
-                self._banked.load_bank(index, coeffs_i, coeffs_q)
+        if self._stale_slots:
+            stale, self._stale_slots = self._stale_slots, set()
+            for slot in sorted(stale):
+                self._correlator.load_bank(self._live_slots.index(slot),
+                                           *self._unpacked(slot))
 
-    def _reload_coefficients(self) -> None:
-        words_i = [self.bus.read(regmap.REG_COEFF_I_BASE + k)
-                   for k in range(regmap.COEFF_WORDS)]
-        words_q = [self.bus.read(regmap.REG_COEFF_Q_BASE + k)
-                   for k in range(regmap.COEFF_WORDS)]
-        coeffs_i = unpack_signed_fields(words_i, regmap.COEFF_BITS,
-                                        regmap.CORRELATOR_LENGTH)
-        coeffs_q = unpack_signed_fields(words_q, regmap.COEFF_BITS,
-                                        regmap.CORRELATOR_LENGTH)
-        self._correlator.load_coefficients(np.array(coeffs_i),
-                                           np.array(coeffs_q))
-
-    def _unpacked_bank(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        coeffs_i = unpack_signed_fields(self._bank_words_i[index],
+    def _unpacked(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        coeffs_i = unpack_signed_fields(self._words_i[slot],
                                         regmap.COEFF_BITS,
                                         regmap.CORRELATOR_LENGTH)
-        coeffs_q = unpack_signed_fields(self._bank_words_q[index],
+        coeffs_q = unpack_signed_fields(self._words_q[slot],
                                         regmap.COEFF_BITS,
                                         regmap.CORRELATOR_LENGTH)
         return np.array(coeffs_i), np.array(coeffs_q)
@@ -248,25 +228,22 @@ class CustomDspCore:
             raise ConfigurationError(
                 f"bank count must be 0..{regmap.MAX_BANKS}, got {count}"
             )
-        # Every live bank is (re)loaded from its shadow words below,
-        # so nothing latched is left to apply.
-        self._stale_banks.clear()
-        # The energy rows' carry stays with the data path; each
-        # correlator's own rows keep (legacy) or restart (banked) theirs.
-        energy_carry = (self._banked_carry if self._bank_count
-                        else self._legacy_carry)[-2:].copy()
-        if count == 0:
-            # Back to the legacy correlator; the shadows
-            # keep their contents for a later re-enable.
-            self._bank_count = 0
-            self._legacy_carry[-2:] = energy_carry
-            return
-        banks = [self._unpacked_bank(k) for k in range(count)]
-        self._banked.load_banks(banks, self._bank_thresholds[:count],
-                                labels=self.bank_labels[:count])
-        self._banked_carry = np.zeros(count + 2, dtype=bool)
-        self._banked_carry[-2:] = energy_carry
+        # Load the selected register file, the legacy slot as one bank
+        # or bank slots 0..K-1, keeping the sign history.  Every live
+        # slot is loaded from its words, so nothing latched is left.
+        slots = tuple(range(count)) or (LEGACY_SLOT,)
+        self._correlator.load_banks(
+            [self._unpacked(slot) for slot in slots],
+            self._thresholds[list(slots)],
+            labels=self.bank_labels[:count] or None)
+        self._live_slots = slots
+        self._stale_slots.clear()
         self._bank_count = count
+        # The carry's bank rows restart, as freshly reset correlators'
+        # would; its energy rows stay with the data path.
+        carry = np.zeros(len(slots) + 2, dtype=bool)
+        carry[-2:] = self._carry[-2:]
+        self._carry = carry
 
     def _set_bank_select(self, value: int) -> None:
         index = int(value)
@@ -276,26 +253,27 @@ class CustomDspCore:
             )
         self._bank_select = index
 
-    def _bank_coeff_watch(self, words, offset):
-        """Latch a windowed coefficient word into the selected bank.
+    def _coeff_watch(self, words, offset, legacy: bool):
+        """Latch a coefficient word into the legacy or the selected slot.
 
-        A write targeting a *live* bank marks it stale: the new
-        template takes effect on the next processed chunk (and is what
-        ``banked`` reports at once), with the sign history and trigger
-        carries intact.
+        A write to a *live* slot marks it stale: the new template takes
+        effect on the next processed chunk (and is what ``correlator``
+        reports at once), with the sign history and trigger carry
+        intact.
         """
         def handler(value: int) -> None:
-            index = self._bank_select
-            words[index][offset] = int(value)
-            if index < self._bank_count:
-                self._stale_banks.add(index)
+            slot = LEGACY_SLOT if legacy else self._bank_select
+            words[slot][offset] = int(value)
+            if slot in self._live_slots:
+                self._stale_slots.add(slot)
         return handler
 
-    def _bank_threshold_watch(self, index):
+    def _threshold_watch(self, slot: int):
         def handler(value: int) -> None:
-            self._bank_thresholds[index] = int(value)
-            if index < self._bank_count:
-                self._banked.set_threshold(index, int(value))
+            self._thresholds[slot] = int(value)
+            if slot in self._live_slots:
+                self._correlator.set_threshold(
+                    self._live_slots.index(slot), int(value))
         return handler
 
     def set_bank_label(self, index: int, label: str) -> None:
@@ -306,10 +284,7 @@ class CustomDspCore:
             )
         self.bank_labels[index] = str(label)
         if index < self._bank_count:
-            self._banked.set_label(index, label)
-
-    def _set_xcorr_threshold(self, value: int) -> None:
-        self._correlator.threshold = value
+            self._correlator.set_label(index, label)
 
     def _set_energy_high(self, value: int) -> None:
         self.energy.threshold_high_db = regmap.decode_energy_threshold_db(value)
@@ -395,27 +370,43 @@ class CustomDspCore:
 
     @property
     def correlator(self) -> CrossCorrelator:
-        """The one-bank correlator the paper's legacy coefficient and
-        threshold registers program, latched words applied."""
+        """The correlator, latched words applied.
+
+        It holds the register file ``REG_BANK_COUNT`` selected: the
+        legacy slot as its one bank at count 0, bank slots 0..K-1 at
+        count K.  :meth:`register_file` reads any slot as programmed.
+        """
         self._apply_latched_words()
         return self._correlator
 
     @property
     def banked(self) -> CrossCorrelator:
-        """The K-bank correlator the bank registers program, latched
-        words applied.
+        """Alias of :attr:`correlator`.
 
-        Dormant until ``REG_BANK_COUNT`` selects K >= 1, at which point
-        it replaces ``correlator`` on the data path.  Each keeps its
-        own sign history and carries across a mode switch.
+        It stays only because the end-to-end benchmark's traced pass
+        wraps ``core.banked.detect`` by name
+        (``benchmarks/e2e/workloads.py``); it goes with that wrap.
         """
-        self._apply_latched_words()
-        return self._banked
+        return self.correlator
 
     @property
     def bank_count(self) -> int:
-        """Active banked-correlator banks (0 = legacy correlator)."""
+        """Active banks (0 = the legacy register file)."""
         return self._bank_count
+
+    def register_file(self, slot: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """Slot ``slot`` as programmed: its I and Q coefficients and its
+        threshold.
+
+        Slots ``0..MAX_BANKS - 1`` are the banks and :data:`LEGACY_SLOT`
+        the paper's legacy registers, which keep their words whichever
+        file the correlator runs.
+        """
+        if not 0 <= slot <= LEGACY_SLOT:
+            raise ConfigurationError(
+                f"register-file slot {slot} outside 0..{LEGACY_SLOT}")
+        coeffs_i, coeffs_q = self._unpacked(slot)
+        return coeffs_i, coeffs_q, int(self._thresholds[slot])
 
     def attach_metrics(self, registry) -> None:
         """Expose per-protocol detection counters on a registry.
@@ -459,13 +450,11 @@ class CustomDspCore:
     def reset(self) -> None:
         """Hardware reset: clears all block state but keeps registers."""
         self._correlator.reset()
-        self._banked.reset()
         self.energy.reset()
         self.fsm.reset()
         self.tx.reset()
         self._clock = 0
-        self._legacy_carry[:] = False
-        self._banked_carry[:] = False
+        self._carry[:] = False
         self._active_intervals.clear()
         self._continuous_since = None if self._continuous_since is None else 0
         self.detection_counts = {source: 0 for source in TriggerSource}
@@ -515,22 +504,18 @@ class CustomDspCore:
             return CoreOutput(tx=tx_out)
         samples = rx_chunk if quantized else quantize_iq16(rx_chunk)
 
-        # REG_BANK_COUNT picks the register file whose correlator runs.
-        # Its K trigger rows and the energy differentiator's two fill
-        # one plane, whose edges are taken once against that
-        # correlator's carry.
+        # The correlator's K trigger rows and the energy
+        # differentiator's two fill one plane, whose edges are taken
+        # once against the carry.
         self._apply_latched_words()
-        if self._bank_count:
-            correlator, protocols = self._banked, self._banked.labels
-            carry = self._banked_carry
-        else:
-            correlator, protocols = self._correlator, _LEGACY_PROTOCOLS
-            carry = self._legacy_carry
+        correlator = self._correlator
+        protocols = (correlator.labels if self._bank_count
+                     else _LEGACY_PROTOCOLS)
         plan = self._plans.get((n, protocols))
         correlator.detect(samples, plan.correlator_rows)
         self.energy.detect(samples, plan.energy_rows)
-        edge_mask(plan.triggers, carry, out=plan.edges)
-        carry[...] = plan.last
+        edge_mask(plan.triggers, self._carry, out=plan.edges)
+        self._carry[...] = plan.last
 
         detections = self._events(chunk_start, plan)
         jam_times: list[int] = []
@@ -582,8 +567,7 @@ class CustomDspCore:
         if n < 0:
             raise StreamError("cannot skip a negative number of samples")
         self._clock += n
-        self._legacy_carry[:] = False
-        self._banked_carry[:] = False
+        self._carry[:] = False
         self._retire_intervals()
 
     def _plan(self, key: tuple[int, tuple]) -> _ChunkPlan:
@@ -595,7 +579,7 @@ class CustomDspCore:
         """The chunk's detection events from its ``(K + 2, n)`` edge mask.
 
         Rows are banks ``0..K-1`` (the plan's labels name them; ``None``
-        for the legacy correlator), then energy high, then energy low.
+        for the legacy slot), then energy high, then energy low.
         Sorting the hits by (time, row) therefore orders events by
         time, then source, then bank, so coincident multi-protocol hits
         come out in bank order.

@@ -250,7 +250,7 @@ class UhdDriver:
         self._write(regmap.REG_BANK_THRESHOLD_BASE + index, int(threshold))
 
     def set_bank_count(self, count: int) -> None:
-        """Select how many stacked banks run (0 = legacy correlator)."""
+        """Select how many stacked banks run (0 = the legacy registers)."""
         count = int(count)
         if not 0 <= count <= regmap.MAX_BANKS:
             raise ConfigurationError(
@@ -267,7 +267,7 @@ class UhdDriver:
         words — a chunk processed mid-swap may see the old template
         with the new threshold, never the new template with a stale
         threshold.  Takes effect on the next processed chunk; the
-        core's sign history and trigger carries are untouched, so
+        core's sign history and trigger carry are untouched, so
         :meth:`repro.core.jammer.ReactiveJammer.run` keeps streaming.
         """
         index = self._check_bank_index(index)

@@ -22,6 +22,7 @@ noise of running with no telemetry at all.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -100,13 +101,15 @@ class Telemetry:
         for block, method, stage in (
                 (device.ddc, "process", "hw.ddc"),
                 (core.correlator, "detect", "hw.cross_correlator"),
-                (core.banked, "detect", "hw.banked_correlator"),
                 (core.energy, "detect", "hw.energy_differentiator"),
                 (device.duc, "process", "hw.duc")):
             if self.enabled:
                 setattr(block, method, self._timed(block, method, stage))
             else:
-                vars(block).pop(method, None)
+                # delattr, not vars(block): building the block's
+                # instance dict slows every attribute read on it.
+                with contextlib.suppress(AttributeError):
+                    delattr(block, method)
         if core.watchdog is not None:
             core.watchdog.tracer = self.tracer
         if driver is not None:

@@ -38,6 +38,7 @@ from repro.core.coeffs import (
 )
 from repro.core.timeline import timeline_for
 from repro.errors import ReproError
+from repro.hw.dsp_core import LEGACY_SLOT
 from repro.hw.trigger import TriggerMode, TriggerSource
 from repro.hw.tx_controller import JamWaveform
 from repro.hw.uhd import UhdDriver
@@ -164,7 +165,8 @@ class JammerConsole:
         from repro.experiments.detection import threshold_for_false_alarm_rate
 
         rate = float(args[0])
-        coeffs_i, coeffs_q = self.device.core.correlator.coefficients
+        coeffs_i, coeffs_q, _threshold = \
+            self.device.core.register_file(LEGACY_SLOT)
         if not coeffs_i.any() and not coeffs_q.any():
             return "error: load a template before calibrating (see 'template')"
         threshold = threshold_for_false_alarm_rate(coeffs_i, coeffs_q, rate)
@@ -268,7 +270,7 @@ class JammerConsole:
         lines = [
             f"frequency     : {self.device.frontend.center_freq_hz / 1e9:.4f} GHz",
             f"template      : {self._template_name or '(none)'}",
-            f"xcorr thresh  : {core.correlator.threshold}",
+            f"xcorr thresh  : {core.register_file(LEGACY_SLOT)[2]}",
             f"energy thresh : rise {core.energy.threshold_high_db} dB / "
             f"fall {core.energy.threshold_low_db} dB",
             f"trigger       : {self._trigger_desc}",

@@ -148,6 +148,31 @@ class TestFaCalibration:
     def test_fa_requires_template(self, console):
         assert "error" in console.execute("fa 0.1")
 
+    def test_fa_calibrates_the_legacy_template_in_banked_mode(self,
+                                                               console):
+        from repro.core.coeffs import (
+            wifi_long_preamble_template,
+            wifi_short_preamble_template,
+        )
+        from repro.experiments.detection import (
+            threshold_for_false_alarm_rate,
+        )
+        from repro.hw.cross_correlator import quantize_coefficients
+
+        console.execute("template wifi-long")
+        console.driver.set_correlator_banks(
+            [wifi_short_preamble_template()], [12_000])
+        legacy, bank = (
+            threshold_for_false_alarm_rate(
+                *quantize_coefficients(template), 0.083)
+            for template in (wifi_long_preamble_template(),
+                             wifi_short_preamble_template()))
+        assert legacy != bank
+        assert f"xcorr threshold: {legacy} " in console.execute("fa 0.083")
+        assert f"xcorr thresh  : {legacy}\n" in console.execute("status")
+        # The running bank keeps its own threshold.
+        assert console.device.core.correlator.threshold == 12_000
+
 
 class TestImpairments:
     def test_profiles_attach_to_ddc(self, console):

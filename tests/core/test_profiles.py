@@ -10,6 +10,7 @@ import pytest
 from repro import units
 from repro.core.coeffs import (
     dsss_preamble_template,
+    wifi_long_preamble_template,
     wifi_short_preamble_template,
 )
 from repro.core.detection import DetectionConfig, ProtocolBank
@@ -24,6 +25,7 @@ from repro.core.profiles import (
 )
 from repro.errors import ConfigurationError
 from repro.hw import register_map as regmap
+from repro.hw.cross_correlator import quantize_coefficients
 from repro.hw.trigger import TriggerMode, TriggerSource
 from repro.hw.tx_controller import JamWaveform
 from repro.hw.uhd import UhdDriver
@@ -174,6 +176,53 @@ class TestBankRoundTrip:
         device = _banked_jammer().device
         apply_profile(device, profile)
         assert device.core.bank_count == 0
+
+
+class TestEachRegisterFileReportsItsOwnWords:
+    """A banked device still holds the legacy registers' template and
+    threshold; the snapshot reads every register file's own words, not
+    whatever the running correlator holds."""
+
+    LEGACY = (wifi_short_preamble_template(), 11_111)
+    BANKS = ((dsss_preamble_template(), 12_000),
+             (wifi_long_preamble_template(), 13_000))
+
+    @pytest.fixture
+    def device(self) -> UsrpN210:
+        device = UsrpN210()
+        driver = UhdDriver(device)
+        template, threshold = self.LEGACY
+        driver.set_correlator_template(template)
+        driver.set_xcorr_threshold(threshold)
+        driver.set_correlator_banks(
+            [template for template, _threshold in self.BANKS],
+            [threshold for _template, threshold in self.BANKS],
+            labels=["dsss", "wifi-long"])
+        return device
+
+    @staticmethod
+    def _words(template) -> tuple[list[int], list[int]]:
+        coeffs_i, coeffs_q = quantize_coefficients(template)
+        return coeffs_i.tolist(), coeffs_q.tolist()
+
+    def test_snapshot_reports_each_file(self, device):
+        detection = snapshot_profile(device)["detection"]
+        template, threshold = self.LEGACY
+        assert (detection["coeffs_i"], detection["coeffs_q"]) \
+            == self._words(template)
+        assert detection["xcorr_threshold"] == threshold
+        assert [(bank["coeffs_i"], bank["coeffs_q"], bank["threshold"])
+                for bank in detection["banks"]] \
+            == [(*self._words(template), threshold)
+                for template, threshold in self.BANKS]
+        # The running correlator holds bank 0, not the legacy file.
+        assert device.core.correlator.threshold == 12_000
+
+    def test_round_trip_onto_a_fresh_device(self, device):
+        profile = snapshot_profile(device)
+        fresh = UsrpN210()
+        apply_profile(fresh, profile)
+        assert snapshot_profile(fresh) == profile
 
 
 class TestFiles:

@@ -123,8 +123,8 @@ class TestFacadeStreaming:
 
     def test_load_banks_clears_carries_but_keeps_history(self, rng,
                                                          template_a):
-        # The core owns the trigger carries: a bank-count write reloads
-        # the banked correlator and restarts its carries, while its
+        # The core owns the trigger carry: a bank-count write reloads
+        # the correlator and restarts the carry's bank rows, while its
         # sign history (received data) survives.
         device = UsrpN210()
         driver = UhdDriver(device)
@@ -139,11 +139,11 @@ class TestFacadeStreaming:
         assert 0 in xcorr_times(awgn(50, 1.0, rng))
         # Still triggering: the carry suppresses a chunk-boundary edge.
         assert 0 not in xcorr_times(awgn(50, 1.0, rng))
-        # Reloading the same banks restarts the carries like a fresh
+        # Reloading the same banks restarts the carry like a fresh
         # bank of correlators...
-        history = core.banked.history
+        history = core.correlator.history
         device.bus.write(regmap.REG_BANK_COUNT, 1)
-        np.testing.assert_array_equal(core.banked.history, history)
+        np.testing.assert_array_equal(core.correlator.history, history)
         assert 0 in xcorr_times(awgn(50, 1.0, rng))
 
     def test_reset_and_clear_last(self, rng, template_a):
@@ -168,6 +168,7 @@ class TestFacadeStreaming:
                          if d.source is TriggerSource.XCORR]
 
     def test_stage_spans_count_chunks_and_samples(self, template_a):
+        # Banks or legacy registers, one correlator runs: one stage.
         device = UsrpN210()
         UhdDriver(device).set_correlator_banks([template_a], [30_000])
         telemetry = Telemetry()
@@ -179,8 +180,8 @@ class TestFacadeStreaming:
                            if event.name == stage]
                    for stage in ("hw.banked_correlator",
                                  "hw.cross_correlator")}
-        assert samples == {"hw.banked_correlator": [100, 50],
-                           "hw.cross_correlator": []}
+        assert samples == {"hw.banked_correlator": [],
+                           "hw.cross_correlator": [100, 50]}
 
 
 @pytest.fixture
@@ -202,10 +203,10 @@ class TestBankedCoreMode:
         device, _driver = banked_rig
         assert device.core.bank_count == 2
         assert device.bus.read(regmap.REG_BANK_COUNT) == 2
-        assert device.core.banked.labels == ("wifi", "zigbee")
+        assert device.core.correlator.labels == ("wifi", "zigbee")
         for index, template in enumerate([template_a, template_b]):
             ci, cq = quantize_coefficients(template)
-            got_i, got_q = device.core.banked.bank_coefficients(index)
+            got_i, got_q = device.core.correlator.bank_coefficients(index)
             np.testing.assert_array_equal(got_i, ci)
             np.testing.assert_array_equal(got_q, cq)
 
@@ -227,7 +228,7 @@ class TestBankedCoreMode:
         driver.set_bank_threshold(1, 12_345)
         assert device.bus.read(regmap.REG_BANK_THRESHOLD_BASE + 1) \
             == 12_345
-        assert device.core.banked.thresholds[1] == 12_345
+        assert device.core.correlator.thresholds[1] == 12_345
 
     def test_count_zero_returns_to_the_legacy_correlator(
             self, rng, banked_rig, template_a):
@@ -262,7 +263,7 @@ class TestBankedCoreMode:
         xcorr = [d for d in out2.detections
                  if d.source is TriggerSource.XCORR]
         assert [d.protocol for d in xcorr] == ["wimax"]
-        assert device.core.banked.labels == ("wimax", "zigbee")
+        assert device.core.correlator.labels == ("wimax", "zigbee")
 
     def test_bank_select_out_of_range_rejected(self, banked_rig,
                                                template_a):
@@ -282,42 +283,73 @@ class TestBankedCoreMode:
         assert device.core.bank_count == 2  # unchanged by the rejects
 
 
-def _reference_edges(pieces, coeffs, threshold, clear_at):
-    """Absolute rising edges of one correlator fed ``pieces`` in order.
+def _reference_edges(rx, coeffs, threshold, spans):
+    """Absolute rising edges of one register file's row over ``rx``.
 
-    ``pieces`` are ``(absolute start, samples)``.  The sign history
-    runs on across every piece; the trigger carry clears before each
-    piece index in ``clear_at``.
+    The sign history runs on across all of ``rx``.  The row counts only
+    in ``spans``, the ``(start, stop, cleared)`` chunks run at its
+    file's bank count, and its carry starts cleared where a count write
+    came first.
     """
-    samples = np.concatenate([piece for _start, piece in pieces])
-    trigger = _reference_metric(samples, *coeffs) > threshold
+    trigger = _reference_metric(rx, *coeffs) > threshold
     edges = []
-    position = 0
     last = False
-    for index, (start, piece) in enumerate(pieces):
-        chunk = trigger[position:position + piece.size]
-        if index in clear_at:
-            last = False
-        previous = np.concatenate([[last], chunk[:-1]])
+    for start, stop, cleared in spans:
+        chunk = trigger[start:stop]
+        previous = np.concatenate([[last and not cleared], chunk[:-1]])
         edges += (start + np.flatnonzero(chunk & ~previous)).tolist()
         last = bool(chunk[-1])
-        position += piece.size
     return edges
 
 
 class TestModeSwitchStreaming:
-    """``REG_BANK_COUNT`` switches 0 -> 2 -> 0 between chunks.
+    """``REG_BANK_COUNT`` switches between register files mid-stream.
 
-    Each register file keeps its own correlator: the legacy one sees
-    only the chunks processed at count 0 and the banked one only those
-    processed at count 2, each with its sign history running on across
-    the other's chunks.  Every count write clears the bank carries; the
-    legacy carry survives the switch.
+    One correlator runs whichever file the count selects, so its sign
+    history runs on across every chunk.  A file's rows count only in
+    the chunks run at its count, and every count write clears the
+    carry's bank rows, the legacy row's included.
     """
 
     CHUNK = 1000
     #: Bank count selected for each chunk.
     PLAN = (0, 0, 2, 2, 0, 2, 0, 0, 2)
+
+    def _preamble_starts(self, plan):
+        """Where the preamble straddling each chunk edge starts, by the
+        index of the chunk it ends in: 16 to 58 samples before the edge."""
+        return {index: index * self.CHUNK - 10 - 6 * index
+                for index in range(1, len(plan))}
+
+    def _capture(self, rng, plan, templates):
+        """Noise with, at every chunk edge, the preamble that the next
+        chunk's register file (``templates`` by bank count) looks for."""
+        rx = awgn(self.CHUNK * len(plan), 1e-6, rng)
+        for index, start in self._preamble_starts(plan).items():
+            rx[start:start + 64] += templates[plan[index]]
+        return quantize_iq16(rx)
+
+    def _stream(self, device, driver, rx, plan):
+        """Process ``rx`` chunk by chunk at the bank counts of ``plan``.
+
+        Returns the XCORR events as ``(time, protocol)``, and per bank
+        count the ``(start, stop, cleared)`` chunks run at it.
+        """
+        events = []
+        spans = {mode: [] for mode in plan}
+        count = 0
+        for index, mode in enumerate(plan):
+            cleared = mode != count
+            if cleared:
+                driver.set_bank_count(mode)
+                count = mode
+            start = index * self.CHUNK
+            spans[mode].append((start, start + self.CHUNK, cleared))
+            out = device.core.process(rx[start:start + self.CHUNK],
+                                      quantized=True)
+            events += [(d.time, d.protocol) for d in out.detections
+                       if d.source is TriggerSource.XCORR]
+        return events, spans
 
     @pytest.mark.parametrize("legacy_threshold", [30_000, 0])
     def test_events_match_one_reference_per_register_file(
@@ -327,53 +359,54 @@ class TestModeSwitchStreaming:
         driver = UhdDriver(device)
         driver.set_correlator_template(legacy)
         driver.set_xcorr_threshold(legacy_threshold)
-        # Bank 1 fires on every sample, so its carry shows at every
+        # Bank 1 fires on every sample, so the carry shows at every
         # chunk and segment edge.
         thresholds = (30_000, 0)
         driver.set_correlator_banks([template_a, template_b], thresholds,
                                     labels=["a", "b"])
         driver.set_bank_count(0)
+        rx = self._capture(rng, self.PLAN, {0: legacy, 2: template_a})
 
-        rx = awgn(self.CHUNK * len(self.PLAN), 1e-6, rng)
-        # A preamble straddles every chunk edge by a different amount:
-        # the one the next chunk's register file looks for.
-        for index in range(1, len(self.PLAN)):
-            start = index * self.CHUNK - 10 - 6 * index
-            template = template_a if self.PLAN[index] else legacy
-            rx[start:start + 64] += template
-        rx = quantize_iq16(rx)
-
-        events = []
-        pieces = {0: [], 2: []}
-        bank_clears = []
-        count = 0
-        for index, mode in enumerate(self.PLAN):
-            if mode != count:
-                driver.set_bank_count(mode)
-                count = mode
-                if mode:
-                    bank_clears.append(len(pieces[2]))
-            start = index * self.CHUNK
-            chunk = rx[start:start + self.CHUNK]
-            pieces[mode].append((start, chunk))
-            out = device.core.process(chunk, quantized=True)
-            events += [(d.time, d.protocol) for d in out.detections
-                       if d.source is TriggerSource.XCORR]
+        events, spans = self._stream(device, driver, rx, self.PLAN)
 
         expected = [(t, None) for t in _reference_edges(
-            pieces[0], quantize_coefficients(legacy), legacy_threshold,
-            clear_at=())]
+            rx, quantize_coefficients(legacy), legacy_threshold, spans[0])]
         for label, template, threshold in zip(
                 ("a", "b"), (template_a, template_b), thresholds):
             expected += [(t, label) for t in _reference_edges(
-                pieces[2], quantize_coefficients(template), threshold,
-                clear_at=set(bank_clears))]
+                rx, quantize_coefficients(template), threshold, spans[2])]
         order = {None: 0, "a": 1, "b": 2}
         expected.sort(key=lambda event: (event[0], order[event[1]]))
         assert events == expected
         # The planted preambles fire in both register files.
         assert any(p is None for _t, p in events)
         assert any(p == "a" for _t, p in events)
+
+    def test_every_preamble_straddling_a_switch_fires(self, rng,
+                                                      template_a):
+        """Live thresholds on both files: a preamble that starts before
+        a count write and ends after it fires, like one straddling a
+        chunk edge without a write."""
+        plan = (0, 0, 1, 1, 0, 1, 0, 0, 1)
+        legacy = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
+        device = UsrpN210()
+        driver = UhdDriver(device)
+        driver.set_correlator_template(legacy)
+        driver.set_xcorr_threshold(30_000)
+        driver.set_correlator_banks([template_a], [30_000], labels=["a"])
+        driver.set_bank_count(0)
+        rx = self._capture(rng, plan, {0: legacy, 1: template_a})
+
+        events, _spans = self._stream(device, driver, rx, plan)
+
+        # A preamble fires on its last sample, 63 after its first.
+        starts = self._preamble_starts(plan)
+        fired = {index for index, start in starts.items()
+                 if (start + 63, "a" if plan[index] else None) in events}
+        switches = {index for index in starts
+                    if plan[index] != plan[index - 1]}
+        assert switches == {2, 4, 5, 6, 8}
+        assert fired == set(starts)
 
 
 class TestWhichProtocolTelemetry:
@@ -451,9 +484,9 @@ class TestConfigureAtomicity:
         jammer, _writes = self._recording_jammer()
         self._configure(jammer, template_a, template_b)
         np.testing.assert_array_equal(
-            jammer.device.core.banked.thresholds, [30_000, 20_000])
+            jammer.device.core.correlator.thresholds, [30_000, 20_000])
         assert not np.any(
-            jammer.device.core.banked.thresholds == METRIC_MAX)
+            jammer.device.core.correlator.thresholds == METRIC_MAX)
 
     def test_reconfigure_to_legacy_disarms_the_bank(self, template_a,
                                                     template_b):

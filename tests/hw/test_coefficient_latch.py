@@ -1,10 +1,11 @@
 """Coefficient words latch until they are needed.
 
 A template is 14 register words (7 I, 7 Q).  Each word write only
-stores the word and marks its correlator stale; the core loads the
-stale words once — before the next chunk's correlator runs, or before
-anyone reads a correlator's configuration — so a hot-swap costs one
-coefficient preparation, not fourteen, and is never read stale.
+stores the word in its register-file slot and, if the correlator runs
+that slot, marks it stale; the core loads the stale words once —
+before the next chunk's correlator runs, or before anyone reads the
+correlator's configuration — so a hot-swap costs one coefficient
+preparation, not fourteen, and is never read stale.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.hw.usrp import UsrpN210
 
 @pytest.fixture
 def prepared(monkeypatch) -> list:
-    """Every ``prepare_coefficients`` call the correlators make."""
+    """Every ``prepare_coefficients`` call the correlator makes."""
     calls = []
     real = xcorr_module.prepare_coefficients
 
@@ -64,14 +65,14 @@ def test_live_bank_hot_swap_prepares_once(banked, prepared):
                                threshold=11_000)
     device.process(_noise())
     assert prepared == [2]  # one restack of the two-bank operand
-    coeffs_i, coeffs_q = device.core.banked.bank_coefficients(0)
+    coeffs_i, coeffs_q = device.core.correlator.bank_coefficients(0)
     assert ([int(c) for c in coeffs_i], [int(c) for c in coeffs_q]) \
         == _words(wifi_long_preamble_template())
 
 
 def test_legacy_template_load_prepares_once(prepared):
     device = UsrpN210()
-    prepared.clear()  # the two power-on correlators
+    prepared.clear()  # the power-on correlator
     UhdDriver(device).set_correlator_template(wifi_short_preamble_template())
     device.process(_noise())
     assert prepared == [1]
@@ -96,12 +97,15 @@ def test_snapshot_right_after_a_template_load_sees_it():
 
 
 def test_correlators_keep_their_identity(banked):
+    # One correlator for the core's lifetime, whichever register file
+    # it runs; ``banked`` is an alias of it.
     device, driver = banked
     core = device.core
-    legacy, stacked = core.correlator, core.banked
+    correlator = core.correlator
+    assert core.banked is correlator
     driver.set_correlator_bank(1, wifi_long_preamble_template())
     driver.set_bank_count(0)
     driver.set_correlator_template(wifi_short_preamble_template())
     device.process(_noise())
-    assert core.correlator is legacy
-    assert core.banked is stacked
+    assert core.correlator is correlator
+    assert core.banked is correlator

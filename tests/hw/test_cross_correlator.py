@@ -126,7 +126,7 @@ class TestCrossCorrelator:
         # Reload for the other signal: triggers.
         corr.reset()
         oi, oq = quantize_coefficients(other)
-        corr.load_coefficients(oi, oq)
+        corr.load_bank(0, oi, oq)
         assert corr.detect(signal).any()
 
     def test_coefficients_out_of_range_rejected(self):
@@ -136,7 +136,7 @@ class TestCrossCorrelator:
     def test_missing_bank_rejected(self):
         corr = CrossCorrelator()
         with pytest.raises(ConfigurationError):
-            corr.load_coefficients(np.zeros(64), None)
+            corr.load_bank(0, np.zeros(64), None)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -2,13 +2,12 @@
 
 :meth:`CustomDspCore.process` writes the correlator's ``K`` trigger
 rows and the energy differentiator's two into one plane, takes its
-rising edges once against one carry per correlator, and builds the
-chunk's events from one ``flatnonzero``.  The reference here does what
-the core did before: an int64 metric from the four-pass correlation
-over each correlator's own sample stream, one edge list per row with
-its own carry, and a ``np.lexsort`` merge.  Register writes between
-chunks switch banks between silent and live and change the bank
-count mid-stream.
+rising edges once against one carry, and builds the chunk's events
+from one ``flatnonzero``.  The reference here does what the core did
+before: an int64 metric from the four-pass correlation over the one
+sample stream, one edge list per row with its own carry, and a
+``np.lexsort`` merge.  Register writes between chunks switch banks
+between silent and live and change the bank count mid-stream.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import repro.kernels.xcorr as xcorr_kernels
 from repro.channel.awgn import awgn
 from repro.dsp.fixed_point import quantize_iq16
 from repro.hw.cross_correlator import METRIC_MAX
+from repro.hw.dsp_core import LEGACY_SLOT
 from repro.hw.energy_differentiator import EnergyDifferentiator
 from repro.hw.trigger import TriggerSource
 from repro.hw.uhd import UhdDriver
@@ -69,33 +69,28 @@ class _Reference:
     """The detection merge as the core computed it before one plane."""
 
     def __init__(self, core):
-        self.coeffs = {0: [core.correlator.coefficients],
-                       1: [core.banked.bank_coefficients(k)
-                           for k in range(3)]}
-        self.streams = {0: np.zeros(0, dtype=np.complex128),
-                        1: np.zeros(0, dtype=np.complex128)}
-        self.carries = {0: np.zeros(1, dtype=bool),
-                        1: np.zeros(3, dtype=bool)}
+        self.legacy = core.register_file(LEGACY_SLOT)[:2]
+        self.banks = [core.register_file(k)[:2] for k in range(3)]
+        self.stream = np.zeros(0, dtype=np.complex128)
+        self.carry = np.zeros(1, dtype=bool)
         self.energy = EnergyDifferentiator()
         self.energy_last = np.zeros(2, dtype=bool)
         self.counts = {source: 0 for source in TriggerSource}
 
     def switch(self, count: int) -> None:
-        if count:
-            self.carries[1] = np.zeros(count, dtype=bool)
+        self.carry = np.zeros(max(count, 1), dtype=bool)
 
     def chunk(self, start, chunk, count, thresholds, labels):
-        which = 1 if count else 0
-        stream = np.concatenate([self.streams[which], chunk])
-        self.streams[which] = stream
+        self.stream = np.concatenate([self.stream, chunk])
         n = chunk.size
-        metric = np.stack([_reference_metric(stream, ci, cq)[-n:]
-                           for ci, cq in self.coeffs[which][:max(count, 1)]])
+        coeffs = self.banks[:count] if count else [self.legacy]
+        metric = np.stack([_reference_metric(self.stream, ci, cq)[-n:]
+                           for ci, cq in coeffs])
         trigger = metric > np.asarray(thresholds, dtype=np.int64)[:, None]
         energy = self.energy.detect(chunk)
         times, sources, banks = [], [], []
         for k, row in enumerate(trigger):
-            edges = _rising(row, self.carries[which][k])
+            edges = _rising(row, self.carry[k])
             times += edges.tolist()
             sources += [int(TriggerSource.XCORR)] * edges.size
             banks += [k] * edges.size
@@ -104,7 +99,7 @@ class _Reference:
             times += edges.tolist()
             sources += [int(_SOURCES[r + 1])] * edges.size
             banks += [-1] * edges.size
-        self.carries[which] = trigger[:, -1].copy()
+        self.carry = trigger[:, -1].copy()
         self.energy_last = energy[:, -1].copy()
         events = []
         for i in np.lexsort((banks, sources, times)):
@@ -148,7 +143,7 @@ def test_events_match_the_per_row_lexsort_reference(plan):
             driver.set_bank_count(bank_count)
             reference.switch(bank_count)
             count = bank_count
-        labels = core.banked.labels if count else (None,)
+        labels = core.correlator.labels if count else (None,)
         expected = reference.chunk(start, chunk, count,
                                    thresholds[:max(count, 1)], labels)
         out = core.process(chunk, quantized=True)
@@ -159,7 +154,7 @@ def test_events_match_the_per_row_lexsort_reference(plan):
 
 
 def _scratch_buffers(core) -> list[ScratchBuffer]:
-    owners = [core, core.correlator, core.banked, core.energy]
+    owners = [core, core.correlator, core.energy]
     return [value for owner in owners for value in vars(owner).values()
             if isinstance(value, ScratchBuffer)] \
         + list(xcorr_kernels._SCRATCH.values())

@@ -171,7 +171,7 @@ def test_switching_matches_an_always_gemm_reference(plan):
             break
         coeffs, threshold = _STATES[state]
         _program(core, coeffs, threshold)
-        reference.load_coefficients(*coeffs)
+        reference.load_bank(0, *coeffs)
         reference.threshold = threshold
         assert core.correlator.silent == (state != 3)
 

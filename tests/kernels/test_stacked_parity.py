@@ -145,7 +145,7 @@ class TestRegisterDrivenAgainstReference:
     @settings(max_examples=40, deadline=None)
     def test_matches_the_four_pass_reference(self, case):
         """Register writes switch banks between silent and live between
-        chunks; metric, triggers, edges, carries and sign history match
+        chunks; metric, triggers, edges, carry and sign history match
         the int64 four-pass reference of each bank."""
         seed, n_banks, plan = case
         rng = np.random.default_rng(seed)
@@ -159,7 +159,8 @@ class TestRegisterDrivenAgainstReference:
         driver = UhdDriver(device)
         driver.set_correlator_banks(templates, live)
         core = device.core
-        coeffs = [core.banked.bank_coefficients(k) for k in range(n_banks)]
+        coeffs = [core.correlator.bank_coefficients(k)
+                  for k in range(n_banks)]
         reference = np.stack([_reference_metric(rx, ci, cq)
                               for ci, cq in coeffs])
 
@@ -195,7 +196,7 @@ class TestRegisterDrivenAgainstReference:
             expected_metric = reference[:, start:start + size]
             trigger = expected_metric > thresholds[:, None]
             # A live threshold is far below any bank's metric ceiling.
-            assert core.banked.silent == (not any(is_live))
+            assert core.correlator.silent == (not any(is_live))
             if any(is_live):
                 assert len(results) == ran + 1
                 metric, got_trigger = results[-1]
@@ -207,13 +208,13 @@ class TestRegisterDrivenAgainstReference:
             edges = edge_mask(trigger, last)
             expected = sorted((start + t, k) for k in range(n_banks)
                               for t in np.flatnonzero(edges[k]))
-            got = [(d.time, core.banked.labels.index(d.protocol))
+            got = [(d.time, core.correlator.labels.index(d.protocol))
                    for d in out.detections if d.protocol is not None]
             assert got == expected
             last = trigger[:, -1]
-            np.testing.assert_array_equal(core._banked_carry[:n_banks], last)
+            np.testing.assert_array_equal(core._carry[:n_banks], last)
             start += size
             history = np.concatenate([
                 np.zeros(2 * (CORRELATOR_LENGTH - 1), dtype=np.int8),
                 sign_plane(rx[:start])])[-2 * (CORRELATOR_LENGTH - 1):]
-            np.testing.assert_array_equal(core.banked.history, history)
+            np.testing.assert_array_equal(core.correlator.history, history)

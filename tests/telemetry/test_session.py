@@ -70,8 +70,7 @@ def _configured_jammer(telemetry: Telemetry | None) -> ReactiveJammer:
 
 def _stage_blocks(device: UsrpN210) -> list[object]:
     core = device.core
-    return [device.ddc, core.correlator, core.banked, core.energy,
-            device.duc]
+    return [device.ddc, core.correlator, core.energy, device.duc]
 
 
 def _wrapped(device: UsrpN210) -> list[str]:
@@ -81,8 +80,8 @@ def _wrapped(device: UsrpN210) -> list[str]:
 
 
 #: What ``_wrapped`` reads with an enabled bundle attached: the DDC,
-#: both correlators, the energy differentiator and the DUC.
-ALL_WRAPPED = ["process", "detect", "detect", "detect", "process"]
+#: the correlator, the energy differentiator and the DUC.
+ALL_WRAPPED = ["process", "detect", "detect", "process"]
 
 
 def _host_spans(telemetry: Telemetry, stage: str) -> list:
